@@ -13,7 +13,6 @@ never approximated.
 
 from .algebra import (
     AlgebraElement,
-    commutator,
     gen_a,
     gen_b,
     sl2_generator,
@@ -79,7 +78,6 @@ from .spectral import (
     SubspaceReport,
     char_poly,
     continuum_matrix,
-    default_grid,
     discrete_family,
     eigenpairs_triangular,
     invariant_subspace_check,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .errors import require_int
 from .rationals import as_fraction, format_fraction
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "gen_b",
     "unit",
     "zero",
-    "commutator",
     "sl2_generator",
 ]
 
@@ -45,11 +45,9 @@ class AlgebraElement:
     def __init__(self, terms=None):
         clean: dict[tuple[int, int], Fraction] = {}
         if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for (m, n), coeff in items:
-                m, n = int(m), int(n)
-                if m < 0 or n < 0:
-                    raise ValueError(f"negative exponent in term b^{m}*a^{n}")
+            for (m, n), coeff in terms.items():
+                require_int(m, "exponent of b")
+                require_int(n, "exponent of a")
                 c = as_fraction(coeff)
                 if c:
                     key = (m, n)
@@ -132,14 +130,14 @@ class AlgebraElement:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        require_int(exponent, "exponent")
         out = unit(1)
         for _ in range(exponent):
             out = out * self
         return out
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
+        """``self*other - other*self``."""
         return self * other - other * self
 
     # -- housekeeping ------------------------------------------------------
@@ -227,11 +225,6 @@ def zero() -> AlgebraElement:
     return AlgebraElement()
 
 
-def commutator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    """``u*v - v*u``."""
-    return u * v - v * u
-
-
 def sl2_generator(kind: str, spin: int) -> AlgebraElement:
     """Spin-``n`` sl2 generators acting on polynomials of degree <= n.
 
@@ -242,8 +235,7 @@ def sl2_generator(kind: str, spin: int) -> AlgebraElement:
     They satisfy [zero, minus] = -minus, [zero, plus] = plus and
     [plus, minus] = -2*zero, exactly.
     """
-    if not isinstance(spin, int) or spin < 0:
-        raise ValueError("spin must be a non-negative integer")
+    require_int(spin, "spin")
     if kind == "plus":
         return AlgebraElement({(2, 1): 1, (1, 0): -spin})
     if kind == "zero":

@@ -7,7 +7,8 @@ classical families) and ``verify`` (the machine-checkable identity suites).
 
 All rationals cross this boundary as reduced ``p/q`` strings; there is no
 floating point anywhere in the I/O.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 mathematical domain error.
+failure, 2 usage error (including a file that cannot be written), 3
+mathematical domain error.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .errors import (
     ParameterError,
     StepMismatchError,
     SubspaceOverflowError,
+    canonical_name,
 )
 from .operators import (
+    CLASSICAL_PRESETS,
     QesQuadraticForm,
     SecondOrderParams,
     ThreePointParams,
@@ -55,7 +58,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-_CLASSICAL = ("hermite", "laguerre", "legendre", "jacobi")
+_CLASSICAL = tuple(CLASSICAL_PRESETS)
 
 
 class UsageError(Exception):
@@ -76,28 +79,15 @@ def _parse_params(text: str, count: int, what: str) -> list[Fraction]:
     return [_parse_fraction_arg(p, what) for p in parts]
 
 
-def _classical_kwargs(args) -> dict:
+def _family_kwargs(args) -> dict:
+    """The family-parameter flags that were given; the family rejects any
+    it does not take."""
     out = {}
-    if args.alpha is not None:
-        out["alpha"] = _parse_fraction_arg(args.alpha, "--alpha")
-    if args.beta is not None:
-        out["beta"] = _parse_fraction_arg(args.beta, "--beta")
-    return out
-
-
-def _discrete_kwargs(args) -> dict:
-    out = {}
-    if args.alpha is not None:
-        out["alpha"] = _parse_fraction_arg(args.alpha, "--alpha")
-    if args.beta is not None:
-        out["beta"] = _parse_fraction_arg(args.beta, "--beta")
-    if args.gamma is not None:
-        out["gamma"] = _parse_fraction_arg(args.gamma, "--gamma")
-    if args.mu is not None:
-        out["mu"] = _parse_fraction_arg(args.mu, "--mu")
-    if args.nu is not None:
-        out["nu"] = _parse_fraction_arg(args.nu, "--nu")
-    if args.size is not None:
+    for name in ("alpha", "beta", "gamma", "mu", "nu"):
+        text = getattr(args, name, None)
+        if text is not None:
+            out[name] = _parse_fraction_arg(text, f"--{name}")
+    if getattr(args, "size", None) is not None:
         out["size"] = args.size
     return out
 
@@ -109,7 +99,7 @@ def _resolve_operator(args):
     ``shift_op=None`` until a step is known; lattice-native families come
     back realized with their own step.
     """
-    op = args.op.strip().lower().replace("_", "-")
+    op = canonical_name(args.op)
     step = None
     if getattr(args, "delta", None) is not None:
         step = _parse_fraction_arg(args.delta, "--delta")
@@ -118,7 +108,7 @@ def _resolve_operator(args):
     notes = []
 
     if op in _CLASSICAL:
-        element = second_order_element(classical_preset(op, **_classical_kwargs(args)))
+        element = second_order_element(classical_preset(op, **_family_kwargs(args)))
         note = eigenvalue_convention_note(op)
         if note:
             notes.append(note)
@@ -133,7 +123,7 @@ def _resolve_operator(args):
 
     if op == "three-point":
         if args.preset:
-            params = discrete_preset(args.preset, **_discrete_kwargs(args))
+            params = discrete_preset(args.preset, **_family_kwargs(args))
             if step is not None and step != params.step:
                 raise UsageError(
                     f"--delta {format_fraction(step)} conflicts with the "
@@ -224,19 +214,16 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_stencil(args) -> int:
     shift_op, name, _ = _need_shift_operator(args)
-    shifts, coeffs = stencil_extract(shift_op)
     if args.format == "text":
         _emit(_shift_operator_text(shift_op, name), args.output)
         return EXIT_OK
+    wire = shift_op.to_json_obj()
     obj = {
-        "delta": format_fraction(shift_op.step),
-        "points": list(shifts),
-        "n_points": len(shifts),
+        "delta": wire["delta"],
+        "points": list(shift_op.shifts),
+        "n_points": shift_op.n_points,
         "width": shift_op.width,
-        "coefficients": [
-            {"shift": k, "coeffs": [format_fraction(c) for c in poly.coeffs]}
-            for k, poly in zip(shifts, coeffs)
-        ],
+        "coefficients": wire["terms"],
     }
     _emit_json(obj, args.output)
     return EXIT_OK
@@ -291,8 +278,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_family(args) -> int:
     step = _parse_fraction_arg(args.delta, "--delta")
-    kwargs = _classical_kwargs(args)
-    table = discrete_family(args.name, step, args.kmax, **kwargs)
+    table = discrete_family(args.name, step, args.kmax, **_family_kwargs(args))
     if args.format == "json":
         _emit_json(table.to_json_obj(), args.output)
         return EXIT_OK
@@ -421,6 +407,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"isospec: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"isospec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

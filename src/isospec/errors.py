@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the input checks that
+raise them.
+
+The checks below ``__all__`` are internal: every module validates through
+them so that each rule is written once.
+"""
 
 from __future__ import annotations
 
@@ -38,3 +43,23 @@ class SubspaceOverflowError(IsospecError):
     def __init__(self, message: str, degree: int | None = None):
         super().__init__(message)
         self.degree = degree
+
+
+def require(condition, message: str):
+    """Raise :class:`ParameterError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise ParameterError(message)
+
+
+def require_int(value, name: str, minimum: int = 0, error: type[Exception] = ValueError) -> int:
+    """``value`` itself if it is a plain ``int`` >= ``minimum``, else raise
+    ``error``.  ``bool`` and ``float`` never pass, so nothing is truncated."""
+    if type(value) is not int or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def canonical_name(name: str) -> str:
+    """Lookup key of a user-supplied name: surrounding blanks are ignored,
+    case does not matter, and ``_`` reads as ``-``."""
+    return name.strip().lower().replace("_", "-")

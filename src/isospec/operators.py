@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
-from .errors import ParameterError
+from .errors import ParameterError, canonical_name, require, require_int
 from .polynomials import Polynomial
-from .rationals import as_fraction
+from .rationals import admissible_exponent, as_fraction, nonzero_step
 from .representations import ShiftOperator, realize_lattice
 
 __all__ = [
@@ -94,9 +94,7 @@ def second_order_stencil(p: SecondOrderParams, step) -> ShiftOperator:
         T^{-1}:  2*at0*x(x-step) - (at1 + bt0)*x
         T^{-2}: -at0*x(x-step)
     """
-    step = as_fraction(step)
-    if step == 0:
-        raise ParameterError("lattice step must be nonzero")
+    step = nonzero_step(step)
     at0, at1, at2 = (c / step**2 for c in (p.a0, p.a1, p.a2))
     bt0, bt1 = p.b0 / step, p.b1 / step
     x = Polynomial.identity()
@@ -116,23 +114,12 @@ def second_order_diagonal(p: SecondOrderParams, k: int) -> Fraction:
     return -p.a0 * k * (k - 1) + p.b0 * k + p.c0
 
 
-def _require(condition, message):
-    if not condition:
-        raise ParameterError(message)
-
-
-def _admissible_exponent(value, name):
-    value = as_fraction(value)
-    _require(value > -1, f"{name} must be a rational > -1, got {value}")
-    return value
-
-
 def _preset_hermite() -> SecondOrderParams:
     return SecondOrderParams(0, 0, -1, -2, 0, 0)
 
 
 def _preset_laguerre(alpha=0) -> SecondOrderParams:
-    alpha = _admissible_exponent(alpha, "alpha")
+    alpha = admissible_exponent(alpha, "alpha")
     return SecondOrderParams(0, 1, 0, 1, -(alpha + 1), 0)
 
 
@@ -141,8 +128,8 @@ def _preset_legendre() -> SecondOrderParams:
 
 
 def _preset_jacobi(alpha=0, beta=0) -> SecondOrderParams:
-    alpha = _admissible_exponent(alpha, "alpha")
-    beta = _admissible_exponent(beta, "beta")
+    alpha = admissible_exponent(alpha, "alpha")
+    beta = admissible_exponent(beta, "beta")
     return SecondOrderParams(1, 0, -1, -(alpha + beta + 2), beta - alpha, 0)
 
 
@@ -154,16 +141,12 @@ CLASSICAL_PRESETS = {
 }
 
 
-def classical_preset(name: str, **params) -> SecondOrderParams:
-    """Second-order coefficients whose eigenfunctions are the named classical
-    family (hermite, laguerre, legendre, jacobi); signs were fixed against the
-    reference recurrences, not copied from a table."""
-    key = name.strip().lower().replace("_", "-")
-    builder = CLASSICAL_PRESETS.get(key)
+def _build_preset(kind: str, presets: dict, name: str, params: dict):
+    key = canonical_name(name)
+    builder = presets.get(key)
     if builder is None:
         raise ParameterError(
-            f"unknown classical preset {name!r}; choose from "
-            f"{sorted(CLASSICAL_PRESETS)}"
+            f"unknown {kind} preset {name!r}; choose from {sorted(presets)}"
         )
     try:
         return builder(**params)
@@ -171,10 +154,17 @@ def classical_preset(name: str, **params) -> SecondOrderParams:
         raise ParameterError(f"bad parameters for preset {key!r}: {exc}") from exc
 
 
+def classical_preset(name: str, **params) -> SecondOrderParams:
+    """Second-order coefficients whose eigenfunctions are the named classical
+    family (hermite, laguerre, legendre, jacobi); signs were fixed against the
+    reference recurrences, not copied from a table."""
+    return _build_preset("classical", CLASSICAL_PRESETS, name, params)
+
+
 def eigenvalue_convention_note(name: str) -> str | None:
     """Warning attached to reports for presets whose computed eigenvalue sign
     differs from the sign commonly quoted alongside the family."""
-    if name.strip().lower() == "hermite":
+    if canonical_name(name) == "hermite":
         return (
             "diagonal eigenvalue at degree k computes to -2k for this operator;"
             " the magnitude 2k matches the customary level listing, which"
@@ -206,8 +196,7 @@ class QesQuadraticForm:
     const: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if not isinstance(self.spin, int) or self.spin < 0:
-            raise ParameterError("spin must be a non-negative integer")
+        require_int(self.spin, "spin", error=ParameterError)
         for name in (
             "plus_plus", "plus_zero", "plus_minus", "zero_zero", "zero_minus",
             "minus_minus", "plus", "zero", "minus", "const",
@@ -247,10 +236,9 @@ class ThreePointParams:
     step: Fraction
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a5", "step"):
+        for name in ("a1", "a2", "a3", "a4", "a5"):
             _frac_field(self, name)
-        if self.step == 0:
-            raise ParameterError("lattice step must be nonzero")
+        object.__setattr__(self, "step", nonzero_step(self.step))
 
 
 def three_point_element(p: ThreePointParams) -> AlgebraElement:
@@ -305,9 +293,9 @@ def three_point_diagonal(p: ThreePointParams, k: int) -> Fraction:
 
 
 def _preset_hahn(alpha, beta, size) -> ThreePointParams:
-    alpha = _admissible_exponent(alpha, "alpha")
-    beta = _admissible_exponent(beta, "beta")
-    _require(isinstance(size, int) and size >= 2, f"size must be an integer >= 2, got {size!r}")
+    alpha = admissible_exponent(alpha, "alpha")
+    beta = admissible_exponent(beta, "beta")
+    require_int(size, "size", 2, ParameterError)
     return ThreePointParams(
         a1=-1,
         a2=size - beta - 2,
@@ -320,7 +308,7 @@ def _preset_hahn(alpha, beta, size) -> ThreePointParams:
 
 def _preset_hahn_continued(mu, nu, size) -> ThreePointParams:
     mu, nu = as_fraction(mu), as_fraction(nu)
-    _require(isinstance(size, int) and size >= 2, f"size must be an integer >= 2, got {size!r}")
+    require_int(size, "size", 2, ParameterError)
     return ThreePointParams(
         a1=1,
         a2=2 - 2 * size - nu,
@@ -333,14 +321,14 @@ def _preset_hahn_continued(mu, nu, size) -> ThreePointParams:
 
 def _preset_meixner(gamma, mu) -> ThreePointParams:
     gamma, mu = as_fraction(gamma), as_fraction(mu)
-    _require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
-    _require(gamma != 0, f"gamma must be nonzero, got {gamma}")
+    require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
+    require(gamma != 0, f"gamma must be nonzero, got {gamma}")
     return ThreePointParams(a1=0, a2=mu, a3=mu - 1, a4=gamma * mu, a5=0, step=1)
 
 
 def _preset_charlier(mu) -> ThreePointParams:
     mu = as_fraction(mu)
-    _require(mu != 0, f"mu must be nonzero, got {mu}")
+    require(mu != 0, f"mu must be nonzero, got {mu}")
     return ThreePointParams(a1=0, a2=0, a3=-1, a4=mu, a5=0, step=1)
 
 
@@ -361,17 +349,7 @@ def discrete_preset(name: str, **params) -> ThreePointParams:
     charlier(mu): step +1, identity variable.  hahn-continued(mu, nu, size)
     is carried as a parameter assignment with structural checks only.
     """
-    key = name.strip().lower().replace("_", "-")
-    builder = DISCRETE_PRESETS.get(key)
-    if builder is None:
-        raise ParameterError(
-            f"unknown discrete preset {name!r}; choose from "
-            f"{sorted(DISCRETE_PRESETS)}"
-        )
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters for preset {key!r}: {exc}") from exc
+    return _build_preset("discrete", DISCRETE_PRESETS, name, params)
 
 
 def qes_three_point_element(a_plus, p: ThreePointParams, spin: int) -> AlgebraElement:

@@ -8,9 +8,9 @@ rationals.
 
 Normalization conventions differ between handbooks, so comparisons are
 projective: equal up to one nonzero rational factor.  Where the matching
-operator lives on a mirrored lattice the family records the affine change of
-variable (x -> scale*x + shift) once, discovered during bring-up and frozen
-here; ``reference_in_operator_variable`` applies it.
+operator lives on a mirrored lattice the family records the change of
+variable (x -> scale*x) once, discovered during bring-up and frozen here;
+``reference_in_operator_variable`` applies it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatchError, ParameterError
+from .errors import BasisMismatchError, ParameterError, canonical_name, require, require_int
 from .polynomials import Polynomial
-from .rationals import as_fraction, format_fraction
+from .rationals import admissible_exponent, as_fraction, format_fraction
 
 __all__ = [
     "FamilySpec",
@@ -29,7 +29,6 @@ __all__ = [
     "reference_polynomial",
     "reference_in_operator_variable",
     "projective_equal",
-    "table_csv",
 ]
 
 _ONE = Fraction(1)
@@ -42,7 +41,6 @@ class FamilySpec:
     name: str
     params: tuple[tuple[str, Fraction], ...] = ()
     variable_scale: Fraction = _ONE
-    variable_shift: Fraction = Fraction(0)
     max_degree: int | None = None
 
     def param(self, key: str) -> Fraction:
@@ -56,42 +54,30 @@ class FamilySpec:
         return f"{self.name}({inner})"
 
 
-def _require(condition, message):
-    if not condition:
-        raise ParameterError(message)
-
-
-def _exponent(value, name) -> Fraction:
-    value = as_fraction(value)
-    _require(value > -1, f"{name} must be a rational > -1, got {value}")
-    return value
-
-
 def family(name: str, **params) -> FamilySpec:
     """Validated family descriptor; see FAMILY_NAMES for the choices."""
-    key = name.strip().lower().replace("_", "-")
+    key = canonical_name(name)
     if key == "hermite":
-        _require(not params, "hermite takes no parameters")
+        require(not params, "hermite takes no parameters")
         return FamilySpec("hermite")
     if key == "laguerre":
-        alpha = _exponent(params.pop("alpha", 0), "alpha")
-        _require(not params, f"unexpected laguerre parameters {sorted(params)}")
+        alpha = admissible_exponent(params.pop("alpha", 0), "alpha")
+        require(not params, f"unexpected laguerre parameters {sorted(params)}")
         return FamilySpec("laguerre", (("alpha", alpha),))
     if key == "legendre":
-        _require(not params, "legendre takes no parameters")
+        require(not params, "legendre takes no parameters")
         return FamilySpec("legendre")
     if key == "jacobi":
-        alpha = _exponent(params.pop("alpha", 0), "alpha")
-        beta = _exponent(params.pop("beta", 0), "beta")
-        _require(not params, f"unexpected jacobi parameters {sorted(params)}")
+        alpha = admissible_exponent(params.pop("alpha", 0), "alpha")
+        beta = admissible_exponent(params.pop("beta", 0), "beta")
+        require(not params, f"unexpected jacobi parameters {sorted(params)}")
         return FamilySpec("jacobi", (("alpha", alpha), ("beta", beta)))
     if key == "hahn":
-        alpha = _exponent(params.pop("alpha", 0), "alpha")
-        beta = _exponent(params.pop("beta", 0), "beta")
+        alpha = admissible_exponent(params.pop("alpha", 0), "alpha")
+        beta = admissible_exponent(params.pop("beta", 0), "beta")
         size = params.pop("size", None)
-        _require(isinstance(size, int) and size >= 2,
-                 f"size must be an integer >= 2, got {size!r}")
-        _require(not params, f"unexpected hahn parameters {sorted(params)}")
+        require_int(size, "size", 2, ParameterError)
+        require(not params, f"unexpected hahn parameters {sorted(params)}")
         # the matching lattice preset runs on the mirrored grid
         return FamilySpec(
             "hahn",
@@ -101,27 +87,26 @@ def family(name: str, **params) -> FamilySpec:
         )
     if key == "meixner":
         gamma = as_fraction(params.pop("gamma", 1))
-        _require("mu" in params, "meixner requires mu")
+        require("mu" in params, "meixner requires mu")
         mu = as_fraction(params.pop("mu"))
-        _require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
-        _require(
+        require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
+        require(
             not (gamma <= 0 and gamma.denominator == 1),
             f"gamma must not be a non-positive integer, got {gamma}",
         )
-        _require(not params, f"unexpected meixner parameters {sorted(params)}")
+        require(not params, f"unexpected meixner parameters {sorted(params)}")
         return FamilySpec("meixner", (("gamma", gamma), ("mu", mu)))
     if key == "charlier":
-        _require("mu" in params, "charlier requires mu")
+        require("mu" in params, "charlier requires mu")
         mu = as_fraction(params.pop("mu"))
-        _require(mu != 0, f"mu must be nonzero, got {mu}")
-        _require(not params, f"unexpected charlier parameters {sorted(params)}")
+        require(mu != 0, f"mu must be nonzero, got {mu}")
+        require(not params, f"unexpected charlier parameters {sorted(params)}")
         return FamilySpec("charlier", (("mu", mu),))
     raise ParameterError(f"unknown family {name!r}; choose from {sorted(FAMILY_NAMES)}")
 
 
 def _check_degree(spec: FamilySpec, k: int):
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError("degree must be a non-negative integer")
+    require_int(k, "degree", error=ParameterError)
     if spec.max_degree is not None and k > spec.max_degree:
         raise ParameterError(
             f"{spec.name} has only degrees 0..{spec.max_degree}, got {k}"
@@ -259,12 +244,12 @@ def reference_polynomial(spec: FamilySpec, k: int) -> Polynomial:
 
 
 def reference_in_operator_variable(spec: FamilySpec, k: int) -> Polynomial:
-    """The reference polynomial with the recorded affine variable map applied,
+    """The reference polynomial with the recorded variable map applied,
     ready for projective comparison against operator eigenvectors."""
     ref = reference_polynomial(spec, k)
-    if spec.variable_scale == 1 and spec.variable_shift == 0:
+    if spec.variable_scale == 1:
         return ref
-    return ref.affine(spec.variable_scale, spec.variable_shift)
+    return ref.affine(spec.variable_scale, 0)
 
 
 def projective_equal(p: Polynomial, q: Polynomial) -> bool:
@@ -280,15 +265,3 @@ def projective_equal(p: Polynomial, q: Polynomial) -> bool:
         return False
     scale = p.leading / q.leading
     return p.coeffs == tuple(scale * c for c in q.coeffs)
-
-
-def table_csv(spec: FamilySpec, k_max: int) -> str:
-    """CSV table of the family up to degree k_max, one row per degree."""
-    k_top = k_max if spec.max_degree is None else min(k_max, spec.max_degree)
-    header = ["k"] + [f"c{i}" for i in range(k_top + 1)]
-    lines = [",".join(header)]
-    for k in range(k_top + 1):
-        poly = reference_polynomial(spec, k)
-        row = [str(k)] + [format_fraction(poly.coefficient(i)) for i in range(k_top + 1)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

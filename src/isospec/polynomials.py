@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatchError, ParameterError
-from .rationals import as_fraction, format_fraction
+from .errors import BasisMismatchError, require_int
+from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
     "Basis",
@@ -45,10 +45,7 @@ class Basis:
 
     def __post_init__(self):
         if self.step is not None:
-            step = as_fraction(self.step)
-            if step == 0:
-                raise ParameterError("lattice step must be nonzero")
-            object.__setattr__(self, "step", step)
+            object.__setattr__(self, "step", nonzero_step(self.step))
 
     @property
     def is_monomial(self) -> bool:
@@ -58,6 +55,14 @@ class Basis:
         if self.is_monomial:
             return "monomial"
         return f"quasi({format_fraction(self.step)})"
+
+    def to_json_obj(self) -> str | dict:
+        """``"monomial"``, or ``{"quasi": "p/q"}`` carrying the step."""
+        return "monomial" if self.is_monomial else {"quasi": format_fraction(self.step)}
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "Basis":
+        return MONOMIAL if obj == "monomial" else quasi_basis(obj["quasi"])
 
 
 MONOMIAL = Basis()
@@ -179,8 +184,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        require_int(exponent, "exponent")
         out = Polynomial.constant(1, self.basis)
         for _ in range(exponent):
             out = out * self
@@ -276,17 +280,12 @@ class Polynomial:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        basis = "monomial" if self.basis.is_monomial else {"quasi": format_fraction(self.basis.step)}
-        return {"basis": basis, "coeffs": [format_fraction(c) for c in self._coeffs]}
+        return {"basis": self.basis.to_json_obj(),
+                "coeffs": [format_fraction(c) for c in self._coeffs]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
-        basis = obj["basis"]
-        if basis == "monomial":
-            tag = MONOMIAL
-        else:
-            tag = quasi_basis(basis["quasi"])
-        return cls(obj["coeffs"], tag)
+        return cls(obj["coeffs"], Basis.from_json_obj(obj["basis"]))
 
 
 def quasi_monomial(n: int, step) -> Polynomial:
@@ -295,11 +294,8 @@ def quasi_monomial(n: int, step) -> Polynomial:
     Computed by the recurrence x^(k+1) = (x - k*step) * x^(k), which is exact
     over the rationals (no Gamma functions involved).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("degree must be a non-negative integer")
-    step = as_fraction(step)
-    if step == 0:
-        raise ParameterError("lattice step must be nonzero")
+    require_int(n, "degree")
+    step = nonzero_step(step)
     out = Polynomial.constant(1)
     x = Polynomial.identity()
     for k in range(n):

@@ -3,12 +3,14 @@
 Every number in this library is a :class:`fractions.Fraction`; floats are
 rejected everywhere so that no rounding can creep in.  On the wire (JSON, CSV,
 command line) rationals travel as reduced fraction strings such as ``"3"`` or
-``"-4/7"``.
+``"-4/7"``.  The step and exponent checks below ``__all__`` are internal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import ParameterError, require
 
 __all__ = ["as_fraction", "parse_fraction", "format_fraction"]
 
@@ -45,3 +47,18 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     """Canonical reduced string form, ``"p"`` for integers, else ``"p/q"``."""
     return str(as_fraction(value))
+
+
+def nonzero_step(step) -> Fraction:
+    """A lattice step as a Fraction; zero raises :class:`ParameterError`."""
+    step = as_fraction(step)
+    if not step:
+        raise ParameterError("lattice step must be nonzero")
+    return step
+
+
+def admissible_exponent(value, name: str) -> Fraction:
+    """A family exponent such as alpha or beta: a rational > -1."""
+    value = as_fraction(value)
+    require(value > -1, f"{name} must be a rational > -1, got {value}")
+    return value

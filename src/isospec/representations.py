@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .errors import BasisMismatchError, ParameterError, StepMismatchError
+from .errors import BasisMismatchError, StepMismatchError, require_int
 from .polynomials import Polynomial
-from .rationals import as_fraction, format_fraction
+from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
     "ShiftOperator",
@@ -37,13 +37,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _check_step(step) -> Fraction:
-    step = as_fraction(step)
-    if step == 0:
-        raise ParameterError("lattice step must be nonzero")
-    return step
-
-
 class ShiftOperator:
     """Finite sum ``sum_k p_k(x) * T^k`` over a fixed lattice step.
 
@@ -54,12 +47,13 @@ class ShiftOperator:
     __slots__ = ("step", "_terms")
 
     def __init__(self, step, terms=None):
-        step_value = _check_step(step)
+        step_value = nonzero_step(step)
         clean: dict[int, Polynomial] = {}
         if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for shift, coeff in items:
-                shift = int(shift)
+            for shift, coeff in terms.items():
+                # require_int's rule, inlined on this hot path (any sign is fine)
+                if type(shift) is not int:
+                    raise ValueError(f"shift must be an integer, got {shift!r}")
                 poly = coeff if isinstance(coeff, Polynomial) else Polynomial(coeff)
                 if not poly.basis.is_monomial:
                     raise BasisMismatchError(
@@ -172,8 +166,7 @@ class ShiftOperator:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        require_int(exponent, "exponent")
         out = ShiftOperator.identity(self.step)
         for _ in range(exponent):
             out = out * self
@@ -231,14 +224,14 @@ class ShiftOperator:
 
 def forward_difference(step) -> ShiftOperator:
     """``(f(x+step) - f(x)) / step``: the lattice realization of ``a``."""
-    step = _check_step(step)
+    step = nonzero_step(step)
     inv = Fraction(1) / step
     return ShiftOperator(step, {1: Polynomial.constant(inv), 0: Polynomial.constant(-inv)})
 
 
 def backward_difference(step) -> ShiftOperator:
     """``(f(x) - f(x-step)) / step``."""
-    step = _check_step(step)
+    step = nonzero_step(step)
     inv = Fraction(1) / step
     return ShiftOperator(step, {0: Polynomial.constant(inv), -1: Polynomial.constant(-inv)})
 
@@ -261,7 +254,7 @@ def realize_lattice(element: AlgebraElement, step) -> ShiftOperator:
     homomorphism, so the defining relation survives:
     ``[realize(a), realize(b)] = identity``.
     """
-    step = _check_step(step)
+    step = nonzero_step(step)
     a_op = forward_difference(step)
     b_op = lattice_raising(step)
     # cache generator powers; elements are tiny, degrees are small
@@ -304,9 +297,8 @@ def fock_vector(n: int, step) -> Polynomial:
     quasi-monomial; this function computes it by iterated application so it
     can be checked independently against the product expansion.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    b_op = lattice_raising(_check_step(step))
+    require_int(n, "n")
+    b_op = lattice_raising(step)
     out = Polynomial.constant(1)
     for _ in range(n):
         out = b_op.apply(out)

@@ -21,6 +21,8 @@ from .errors import (
     DegenerateSpectrumError,
     IsospecError,
     SubspaceOverflowError,
+    canonical_name,
+    require_int,
 )
 from .operators import classical_preset, eigenvalue_convention_note, second_order_element
 from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
@@ -41,7 +43,6 @@ __all__ = [
     "isospectral_check",
     "substitute_quasi",
     "stencil_extract",
-    "default_grid",
     "verify_pointwise",
     "FamilyEntry",
     "FamilyTable",
@@ -99,9 +100,8 @@ class OperatorMatrix:
         return self.entries[i][j]
 
     def to_json_obj(self) -> dict:
-        basis = "monomial" if self.basis.is_monomial else {"quasi": format_fraction(self.basis.step)}
         return {
-            "basis": basis,
+            "basis": self.basis.to_json_obj(),
             "degree_bound": self.degree_bound,
             "entries": [[format_fraction(c) for c in row] for row in self.entries],
             "overflow_degrees": list(self.overflow_degrees),
@@ -116,8 +116,7 @@ def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = T
     (``require_closure=True``) or record the offending degrees in
     ``overflow_degrees`` and keep only the in-space part.
     """
-    if degree < 0:
-        raise ValueError("degree bound must be >= 0")
+    require_int(degree, "degree bound")
     columns = []
     overflow = []
     for j in range(degree + 1):
@@ -140,20 +139,19 @@ def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = T
     return OperatorMatrix(basis=basis, entries=entries, overflow_degrees=tuple(overflow))
 
 
-def continuum_matrix(element: AlgebraElement, degree: int, require_closure: bool = True) -> OperatorMatrix:
-    """Matrix of the differential realization on monomials of degree <= degree."""
-    return matrix_on_basis(
-        lambda p: apply_continuum(element, p), MONOMIAL, degree, require_closure
-    )
+def continuum_matrix(element: AlgebraElement, degree: int) -> OperatorMatrix:
+    """Matrix of the differential realization on monomials of degree <= degree;
+    raises SubspaceOverflowError if the element leaves the space."""
+    return matrix_on_basis(lambda p: apply_continuum(element, p), MONOMIAL, degree)
 
 
-def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None,
-                   require_closure: bool = True) -> OperatorMatrix:
+def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -> OperatorMatrix:
     """Matrix of a shift operator, by default on the quasi-monomial basis at
-    the operator's own step."""
+    the operator's own step; raises SubspaceOverflowError if the operator
+    leaves the space."""
     if basis is None:
         basis = quasi_basis(op.step)
-    return matrix_on_basis(op.apply, basis, degree, require_closure)
+    return matrix_on_basis(op.apply, basis, degree)
 
 
 def _matmul(x, y):
@@ -301,8 +299,7 @@ class IsospectralityCertificate:
         }
 
 
-def isospectral_check(element: AlgebraElement, step, degree: int,
-                      notes: tuple[str, ...] = ()) -> IsospectralityCertificate:
+def isospectral_check(element: AlgebraElement, step, degree: int) -> IsospectralityCertificate:
     """Build the continuum matrix on monomials and the lattice matrix on the
     quasi-monomial ladder, and compare their monic characteristic polynomials
     exactly.
@@ -311,8 +308,8 @@ def isospectral_check(element: AlgebraElement, step, degree: int,
     in either realization.
     """
     step = as_fraction(step)
-    cont = continuum_matrix(element, degree, require_closure=True)
-    latt = lattice_matrix(realize_lattice(element, step), degree, require_closure=True)
+    cont = continuum_matrix(element, degree)
+    latt = lattice_matrix(realize_lattice(element, step), degree)
     cp_cont = char_poly(cont)
     cp_latt = char_poly(latt)
     return IsospectralityCertificate(
@@ -321,7 +318,6 @@ def isospectral_check(element: AlgebraElement, step, degree: int,
         continuum_char_poly=cp_cont,
         lattice_char_poly=cp_latt,
         verdict=cp_cont == cp_latt,
-        notes=tuple(notes),
     )
 
 
@@ -342,25 +338,12 @@ def stencil_extract(op: ShiftOperator) -> tuple[tuple[int, ...], tuple[Polynomia
     return shifts, tuple(op.coefficient(k) for k in shifts)
 
 
-def default_grid(step, half_width: int = 10) -> tuple[Fraction, ...]:
-    """The lattice points j*step for j = -half_width..half_width.
-
-    Twenty-one points settle any identity of degree <= 20, so the default
-    pointwise check is complete for everything this library produces."""
-    step = as_fraction(step)
-    return tuple(j * step for j in range(-half_width, half_width + 1))
-
-
-def verify_pointwise(op: ShiftOperator, phi: Polynomial, eigenvalue, grid=None) -> bool:
-    """True iff (op phi)(x) - eigenvalue*phi(x) vanishes at every grid point
-    and, stronger, as a polynomial identity."""
+def verify_pointwise(op: ShiftOperator, phi: Polynomial, eigenvalue) -> bool:
+    """True iff (op phi)(x) = eigenvalue*phi(x) as a polynomial identity, and
+    hence at every point x."""
     eigenvalue = as_fraction(eigenvalue)
     phi_m = convert_basis(phi, MONOMIAL)
-    residual = op.apply(phi_m) - eigenvalue * phi_m
-    if grid is None:
-        grid = default_grid(op.step)
-    pointwise = all(residual(x) == 0 for x in grid)
-    return pointwise and residual.is_zero
+    return (op.apply(phi_m) - eigenvalue * phi_m).is_zero
 
 
 @dataclass(frozen=True)
@@ -405,13 +388,12 @@ def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
     The continuum eigenfunctions are solved exactly, matched projectively
     against the reference family, rescaled to the reference normalization,
     transported onto the quasi-monomial ladder, and each row is verified
-    pointwise against the realized lattice operator at its eigenvalue.
+    against the realized lattice operator at its eigenvalue.
     """
-    key = name.strip().lower().replace("_", "-")
+    key = canonical_name(name)
     if key.startswith("discrete-"):
         key = key[len("discrete-"):]
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    require_int(k_max, "k_max")
     step = as_fraction(step)
     preset = classical_preset(key, **params)
     element = second_order_element(preset)
@@ -473,8 +455,7 @@ def invariant_subspace_check(op, spin: int, step=None) -> SubspaceReport:
     realization, or on the lattice when ``step`` is given) or a shift
     operator (checked on its own lattice and quasi-monomial ladder).
     """
-    if not isinstance(spin, int) or spin < 0:
-        raise ValueError("spin must be a non-negative integer")
+    require_int(spin, "spin")
     if isinstance(op, AlgebraElement):
         if step is None:
             action, basis = (lambda p: apply_continuum(op, p)), MONOMIAL

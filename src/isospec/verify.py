@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import commutator, gen_a, gen_b, sl2_generator, AlgebraElement
+from .algebra import gen_a, gen_b, sl2_generator, AlgebraElement
+from .errors import canonical_name
 from .operators import (
     QesQuadraticForm,
     SecondOrderParams,
@@ -169,9 +170,9 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
     ok = True
     for n in range(7):
         jp, jz, jm = (sl2_generator(k, n) for k in ("plus", "zero", "minus"))
-        ok = ok and commutator(jz, jm) == -1 * jm
-        ok = ok and commutator(jz, jp) == jp
-        ok = ok and commutator(jp, jm) == -2 * jz
+        ok = ok and jz.commutator(jm) == -1 * jm
+        ok = ok and jz.commutator(jp) == jp
+        ok = ok and jp.commutator(jm) == -2 * jz
     checks.append(CheckResult("sl2 relations for spin 0..6", ok, "exact element identities"))
 
     n_pairs = 25
@@ -540,7 +541,7 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) -> SuiteResult:
-    key = name.strip().lower()
+    key = canonical_name(name)
     if key not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {list(SUITE_NAMES) + ['all']}")
     return SUITES[key](seed, trials)
@@ -548,7 +549,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) ->
 
 def run(suite: str = "all", seed: int = DEFAULT_SEED, trials: int | None = None) -> dict:
     """Run one suite (or all of them) and return a deterministic summary."""
-    names = list(SUITE_NAMES) if suite.strip().lower() == "all" else [suite]
+    names = list(SUITE_NAMES) if canonical_name(suite) == "all" else [suite]
     results = [run_suite(name, seed, trials) for name in names]
     return {
         "seed": seed,

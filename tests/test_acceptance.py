@@ -5,6 +5,7 @@ time limits are wall-clock budgets.  Each test prints one PASS/FAIL line
 (run with ``pytest -s`` to see them all).
 """
 
+import hashlib
 import json
 import random
 import time
@@ -48,6 +49,9 @@ from isospec.spectral import (
 )
 
 STEPS = (F(1), F(-1), F(1, 2), F(3, 7))
+# sha256 of `verify --suite all --seed 7 --output FILE`; changes only when a
+# check is deliberately added or reworded
+GATE_SHA256 = "b3493b9a18fa25b11eae8cf41c604870148a327d6979f58155683654ba05e3aa"
 
 
 def report(number, label, ok):
@@ -244,4 +248,6 @@ def test_10_determinism(tmp_path, capsys):
     capsys.readouterr()
     ok = code1 == 0 and code2 == 0 and first.read_bytes() == second.read_bytes()
     ok = ok and json.loads(first.read_text())["ok"]
-    report(10, "verify --suite all --seed 7 is byte-identical across runs", ok)
+    ok = ok and hashlib.sha256(first.read_bytes()).hexdigest() == GATE_SHA256
+    report(10, "verify --suite all --seed 7 is byte-identical across runs "
+               "and matches the pinned hash", ok)

@@ -193,3 +193,16 @@ class TestExitCodes:
     def test_zero_delta_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "discretize", "--op", "hermite", "--delta", "0")
         assert code == 2
+
+    def test_flag_the_family_does_not_take_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "discretize", "--op", "laguerre",
+                               "--mu", "2", "--delta", "1")
+        assert code == 2
+        assert "mu" in err
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "discretize", "--op", "hermite",
+                                 "--delta", "1", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: error:") and "Traceback" not in err

@@ -17,7 +17,6 @@ from isospec.oracles import (
     projective_equal,
     reference_in_operator_variable,
     reference_polynomial,
-    table_csv,
 )
 from isospec.polynomials import Polynomial, quasi_basis
 
@@ -199,11 +198,3 @@ class TestValidation:
         # identity map families pass straight through
         spec2 = family("charlier", mu=2)
         assert reference_in_operator_variable(spec2, 2) == reference_polynomial(spec2, 2)
-
-
-def test_table_csv_shape():
-    text = table_csv(family("charlier", mu=1), 3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,c0,c1,c2,c3"
-    assert len(lines) == 5
-    assert lines[2].startswith("1,1,-1")

@@ -22,17 +22,17 @@ from isospec.operators import (
     three_point_operator,
 )
 from isospec.polynomials import MONOMIAL, Polynomial, convert_basis, quasi_basis
-from isospec.representations import realize_lattice
+from isospec.representations import apply_continuum, realize_lattice
 from isospec.spectral import (
     OperatorMatrix,
     char_poly,
     continuum_matrix,
-    default_grid,
     discrete_family,
     eigenpairs_triangular,
     invariant_subspace_check,
     isospectral_check,
     lattice_matrix,
+    matrix_on_basis,
     spectral_report,
     stencil_extract,
     substitute_quasi,
@@ -107,7 +107,8 @@ class TestMatrix:
         assert err.value.degree == 3
 
     def test_overflow_flagged_when_tolerated(self):
-        matrix = continuum_matrix(B, 3, require_closure=False)
+        matrix = matrix_on_basis(lambda p: apply_continuum(B, p), MONOMIAL, 3,
+                                 require_closure=False)
         assert matrix.overflow_degrees == (3,)
 
 
@@ -293,11 +294,6 @@ class TestVerifyPointwise:
     def test_zero_polynomial_satisfies_anything(self):
         op = realize_lattice(HERMITE, 1)
         assert verify_pointwise(op, Polynomial.zero(), F(17, 3))
-
-    def test_default_grid(self):
-        grid = default_grid(F(1, 2))
-        assert len(grid) == 21
-        assert grid[0] == -5 and grid[-1] == 5
 
 
 class TestDiscreteFamily:
