@@ -79,17 +79,26 @@ def _parse_params(text: str, count: int, what: str) -> list[Fraction]:
     return [_parse_fraction_arg(p, what) for p in parts]
 
 
+_FAMILY_FLAGS = ("alpha", "beta", "gamma", "mu", "nu", "size")
+
+
 def _family_kwargs(args) -> dict:
     """The family-parameter flags that were given; the family rejects any
     it does not take."""
     out = {}
-    for name in ("alpha", "beta", "gamma", "mu", "nu"):
-        text = getattr(args, name, None)
-        if text is not None:
-            out[name] = _parse_fraction_arg(text, f"--{name}")
-    if getattr(args, "size", None) is not None:
-        out["size"] = args.size
+    for name in _FAMILY_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            out[name] = value if name == "size" else _parse_fraction_arg(value, f"--{name}")
     return out
+
+
+def _reject_family_flags(args, what: str):
+    """Inline-coefficient operators take no family parameters: a family flag
+    given with one is a usage error, never silently dropped."""
+    given = [f"--{name}" for name in _FAMILY_FLAGS if getattr(args, name, None) is not None]
+    if given:
+        raise UsageError(f"{what} takes no family flags, got {', '.join(given)}")
 
 
 def _resolve_operator(args):
@@ -117,6 +126,7 @@ def _resolve_operator(args):
     if op == "e2":
         if not args.params:
             raise UsageError("--op e2 needs --params a0,a1,a2,b0,b1,c0")
+        _reject_family_flags(args, "--op e2")
         vals = _parse_params(args.params, 6, "--params")
         element = second_order_element(SecondOrderParams(*vals))
         return element, None, step, op, notes
@@ -136,6 +146,7 @@ def _resolve_operator(args):
                 )
             if step is None:
                 raise UsageError("--op three-point with --params needs --delta")
+            _reject_family_flags(args, "--op three-point with --params")
             vals = _parse_params(args.params, 5, "--params")
             params = ThreePointParams(*vals, step=step)
         return None, three_point_operator(params), params.step, op, notes
@@ -147,6 +158,7 @@ def _resolve_operator(args):
                 "coefficients (plus-plus, plus-zero, plus-minus, zero-zero, "
                 "zero-minus, minus-minus, plus, zero, minus, const)"
             )
+        _reject_family_flags(args, "--op qes2")
         vals = _parse_params(args.params, 10, "--params")
         element = qes_quadratic_element(QesQuadraticForm(args.spin, *vals))
         return element, None, step, op, notes
@@ -156,6 +168,7 @@ def _resolve_operator(args):
             raise UsageError("--op qes3 needs --spin, --aplus and --params A1,A2,A3,A4,A5")
         if step is None:
             raise UsageError("--op qes3 needs --delta")
+        _reject_family_flags(args, "--op qes3")
         vals = _parse_params(args.params, 5, "--params")
         aplus = _parse_fraction_arg(args.aplus, "--aplus")
         shift_op = qes_three_point_operator(aplus, ThreePointParams(*vals, step=step), args.spin)

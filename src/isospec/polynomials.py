@@ -317,21 +317,25 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
             f"({p.basis} -> {target})"
         )
     if target.is_monomial:
+        # Newton-form Horner: acc <- acc*(x - k*step) + c_k from the top
         step = p.basis.step
-        out = Polynomial.zero()
-        for k, c in enumerate(p.coeffs):
-            if c:
-                out = out + c * quasi_monomial(k, step)
-        return out
-    # monomial -> quasi: peel leading coefficients from the top; both ladders
-    # are monic so the transform is unitriangular.
+        acc: list[Fraction] = []
+        for k in range(len(p.coeffs) - 1, -1, -1):
+            node = k * step
+            nxt = [_ZERO] + acc
+            for i, a in enumerate(acc):
+                nxt[i] -= node * a
+            nxt[0] += p.coeffs[k]
+            acc = nxt
+        return Polynomial(acc)
+    # monomial -> quasi: the remainders of repeated synthetic division by
+    # x, x - step, x - 2*step, ... are the ladder coefficients in order.
     step = target.step
-    residue = list(p.coeffs)
-    out = [_ZERO] * len(residue)
-    for k in range(len(residue) - 1, -1, -1):
-        c = residue[k]
-        out[k] = c
-        if c:
-            for j, q in enumerate(quasi_monomial(k, step).coeffs):
-                residue[j] -= c * q
+    rest = list(p.coeffs)
+    out = []
+    for k in range(len(rest)):
+        node = k * step
+        for i in range(len(rest) - 2, -1, -1):
+            rest[i] += node * rest[i + 1]
+        out.append(rest.pop(0))
     return Polynomial(out, target)

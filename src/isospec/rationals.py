@@ -8,6 +8,8 @@ command line) rationals travel as reduced fraction strings such as ``"3"`` or
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 from .errors import ParameterError, require
@@ -19,7 +21,11 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact Fraction.
 
     Floats are refused: they carry binary rounding and would silently break
-    the exactness guarantees of everything built on top.
+    the exactness guarantees of everything built on top.  Strings must be in
+    the reduced wire form of :func:`parse_fraction`, so every constructor
+    that takes rational strings (``Polynomial``, ``ShiftOperator``,
+    ``SecondOrderParams``, the ``from_json_obj`` readers) raises ValueError
+    on ``"0.5"``, ``"1e3"``, ``"2/4"`` or ``"+1"``.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,12 +42,31 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+# the wire form is exactly what format_fraction writes: a reduced "p" or
+# "p/q" with q > 1, no sign on zero, no leading zeros, no decimals or exponents
+_WIRE_RATIONAL = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?", re.ASCII)
+# digits allowed in a numerator or denominator, CPython's default limit on
+# int/str conversion; checked before any integer is built
+_MAX_DIGITS = 4300
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a valid rational: {text!r}") from exc
+    """Parse the wire form ``"p"`` or ``"p/q"`` (reduced, ``q > 1``) into a
+    Fraction; surrounding whitespace is ignored.
+
+    Anything else (``"0.1"``, ``"1e3"``, ``"2/4"``, ``"+1"``, ``"-0"``, a
+    numerator or denominator longer than 4300 digits) raises
+    ValueError.
+    """
+    match = _WIRE_RATIONAL.fullmatch(text.strip())
+    if match is not None:
+        sign, num, den = match.groups()
+        if max(len(num), len(den or "")) > _MAX_DIGITS:
+            raise ValueError(f"not a valid rational: more than {_MAX_DIGITS} digits")
+        p, q = int(num), int(den or 1)
+        if (p or not sign) and (den is None or (q > 1 and math.gcd(p, q) == 1)):
+            return Fraction(-p if sign else p, q)
+    raise ValueError(f"not a valid rational: {text!r} (expected reduced 'p' or 'p/q')")
 
 
 def format_fraction(value: Fraction) -> str:

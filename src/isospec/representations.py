@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .errors import BasisMismatchError, StepMismatchError, require_int
-from .polynomials import Polynomial
+from .polynomials import Basis, Polynomial
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ShiftOperator:
@@ -185,6 +186,68 @@ class ShiftOperator:
         for k, pk in self._terms.items():
             out = out + pk * p.shifted(k * self.step)
         return out
+
+    def _ladder_images(self, vectors, basis: Basis) -> list[list[Fraction]]:
+        """Images of coefficient vectors written on ``basis``, on that same
+        basis, untruncated and never through monomials.  ``basis`` is a
+        falling-factorial ladder of any step ``s``; the monomial basis is the
+        ladder with ``s = 0``.
+
+        Each term ``p_k(x) * T^k`` acts by two identities:
+
+        * the binomial theorem for falling factorials,
+          ``T^k x^(j) = sum_i C(j, i) * h^(j-i) * x^(i)`` with ``h = k*step``
+          and ``h^(m) = h(h - s)...(h - (m-1)s)``;
+        * ``x * x^(i) = x^(i+1) + i*s * x^(i)``, which gives
+          ``p_k(x) * x^(i)`` by Horner over the monomial coefficients of
+          ``p_k``: a band of ``deg p_k + 1`` rungs.
+
+        A vector with ``n`` entries costs O(n^2) per term, and a unit vector
+        O(n).
+
+        Only the step and the terms are read: the algebra is never consulted,
+        so lattice matrices stay an independent check of ``realize_lattice``.
+        """
+        s = _ZERO if basis.is_monomial else basis.step
+        top = max((len(v) for v in vectors), default=0)
+        reach = max((p.degree for p in self._terms.values()), default=0)
+        rungs = [i * s for i in range(top + reach)]
+        images = [[_ZERO] * (len(v) + reach) for v in vectors]
+        for k, pk in self._terms.items():
+            h = k * self.step
+            # h^(m) for m < top; once a factor vanishes every later one does
+            falling = [_ONE]
+            while len(falling) < top:
+                nxt = falling[-1] * (h - (len(falling) - 1) * s)
+                if not nxt:
+                    break
+                falling.append(nxt)
+            # p_k(x) * x^(i) = sum_t band[i][t] * x^(i+t), by Horner on x^(i)
+            *lower, lead = pk.coeffs
+            band = []
+            for i in range(top):
+                acc = [lead]
+                for c in reversed(lower):
+                    nxt = [_ZERO] + acc
+                    for t, a in enumerate(acc):
+                        nxt[t] += rungs[i + t] * a
+                    nxt[0] += c
+                    acc = nxt
+                band.append([(t, b) for t, b in enumerate(acc) if b])
+            for v, image in zip(vectors, images):
+                shifted = [_ZERO] * len(v)
+                for j, vj in enumerate(v):
+                    if not vj:
+                        continue
+                    binom = 1  # C(j, m)
+                    for m in range(min(j + 1, len(falling))):
+                        shifted[j - m] += vj * binom * falling[m]
+                        binom = binom * (j - m) // (m + 1)
+                for i, w in enumerate(shifted):
+                    if w:
+                        for t, b in band[i]:
+                            image[i + t] += w * b
+        return images
 
     # -- housekeeping -------------------------------------------------------
 

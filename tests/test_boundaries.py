@@ -2,15 +2,20 @@
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isospec.algebra import AlgebraElement, gen_a, sl2_generator
 from isospec.cli import main as cli_main
 from isospec.errors import ParameterError
-from isospec.operators import QesQuadraticForm, classical_preset, discrete_preset
+from isospec.operators import (QesQuadraticForm, SecondOrderParams, classical_preset,
+                               discrete_preset)
 from isospec.oracles import family, reference_polynomial
 from isospec.polynomials import Polynomial, quasi_monomial
+from isospec.rationals import as_fraction, format_fraction, parse_fraction
 from isospec.representations import ShiftOperator, fock_vector
 from isospec.spectral import continuum_matrix, discrete_family, invariant_subspace_check
 from isospec.verify import run_suite
@@ -57,3 +62,58 @@ def _cli_stdout(argv):
         "run_suite", "cli-op", "cli-preset"])
 def test_names_ignore_case_blanks_and_underscores(call, spelled, canonical):
     assert call(spelled) == call(canonical)
+
+
+rationals = st.fractions(max_denominator=10**12) | st.integers(-10**60, 10**60).map(Fraction)
+
+
+@given(rationals, st.sampled_from(["", " ", "\t", "\n "]))
+def test_wire_rationals_round_trip(value, pad):
+    text = format_fraction(value)
+    assert parse_fraction(pad + text + pad) == value
+
+
+@given(rationals.filter(lambda v: v.denominator > 1), st.integers(2, 9))
+def test_unreduced_fractions_are_rejected(value, factor):
+    with pytest.raises(ValueError):
+        parse_fraction(f"{value.numerator * factor}/{value.denominator * factor}")
+
+
+@given(st.integers(0, 10**9), st.integers(0, 10**6))
+def test_decimal_and_exponent_forms_are_rejected(whole, part):
+    for text in (f"{whole}.{part}", f"{whole}e{part}", f"{whole}E-{part}", f"+{whole}"):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "0.1", "1e3", "2/4", "4/1", "0/3", "-0", "007", "1/0", "1/-2", "1 / 2", "", " ", "/2",
+    "1_000", "\u0661", "inf", "nan", "1e999999999", "9" * 4301, "1/" + "7" * 4301,
+])
+def test_non_canonical_wire_text_is_rejected(text):
+    with pytest.raises(ValueError):
+        parse_fraction(text)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_fraction("0.5"),
+    lambda: Polynomial(["1", "2/4"]),
+    lambda: ShiftOperator("3/6", {1: ["1"]}),
+    lambda: SecondOrderParams("+1", 0, 0, 0, 0, 0),
+    lambda: Polynomial.from_json_obj({"basis": "monomial", "coeffs": ["1e3"]}),
+], ids=["as_fraction", "Polynomial", "ShiftOperator", "SecondOrderParams", "from_json_obj"])
+def test_library_strings_follow_the_wire_form(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_digit_cap_admits_the_longest_integer_python_prints():
+    assert parse_fraction("9" * 4300) == 10**4300 - 1
+
+
+@pytest.mark.parametrize("flag, text", [("--delta", "0.5"), ("--delta", "1e3"),
+                                        ("--delta", "2/4"), ("--alpha", "1e999999999")])
+def test_cli_rejects_non_canonical_rationals(flag, text, capsys):
+    argv = ["discretize", "--op", "laguerre", "--delta", "1", flag, text]
+    assert cli_main(argv) == 2
+    assert flag in capsys.readouterr().err

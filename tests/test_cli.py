@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from isospec.cli import main
 from isospec.operators import classical_preset, second_order_element
 from isospec.representations import ShiftOperator, realize_lattice
@@ -199,6 +201,19 @@ class TestExitCodes:
                                "--mu", "2", "--delta", "1")
         assert code == 2
         assert "mu" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--op", "e2", "--params", "0,0,-1,-2,0,0", "--delta", "1", "--alpha", "5", "--size", "3"],
+        ["--op", "three-point", "--params", "1,2,3,4,5", "--delta", "1", "--mu", "2"],
+        ["--op", "qes2", "--spin", "2", "--params", "1,0,0,0,0,0,0,0,0,0", "--delta", "1",
+         "--beta", "1"],
+        ["--op", "qes3", "--spin", "2", "--aplus", "1", "--params", "1,2,3,4,5",
+         "--delta", "1", "--size", "4"],
+    ], ids=["e2", "three-point-params", "qes2", "qes3"])
+    def test_family_flags_on_inline_operators_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "discretize", *argv)
+        assert code == 2 and out == ""
+        assert "family flags" in err
 
     def test_unwritable_output_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

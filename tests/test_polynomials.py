@@ -71,6 +71,14 @@ class TestConvertBasis:
         assert convert_basis(there, MONOMIAL) == p
 
     @given(vectors, steps)
+    def test_ladder_to_monomial_sums_the_expanded_rungs(self, vec, step):
+        p = Polynomial(vec, quasi_basis(step))
+        expected = Polynomial.zero()
+        for k, c in enumerate(vec):
+            expected = expected + c * quasi_monomial(k, step)
+        assert convert_basis(p, MONOMIAL) == expected
+
+    @given(vectors, steps)
     def test_degree_is_preserved(self, vec, step):
         p = Polynomial(vec)
         assert convert_basis(p, quasi_basis(step)).degree == p.degree

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isospec.algebra import gen_a, gen_b, sl2_generator, unit
 from isospec.errors import (
@@ -22,9 +24,10 @@ from isospec.operators import (
     three_point_operator,
 )
 from isospec.polynomials import MONOMIAL, Polynomial, convert_basis, quasi_basis
-from isospec.representations import apply_continuum, realize_lattice
+from isospec.representations import ShiftOperator, apply_continuum, realize_lattice
 from isospec.spectral import (
     OperatorMatrix,
+    _ladder_matrix,
     char_poly,
     continuum_matrix,
     discrete_family,
@@ -110,6 +113,70 @@ class TestMatrix:
         matrix = matrix_on_basis(lambda p: apply_continuum(B, p), MONOMIAL, 3,
                                  require_closure=False)
         assert matrix.overflow_degrees == (3,)
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+steps = st.sampled_from([F(1), F(-1), F(1, 2), F(3, 7), F(-2, 5)])
+shift_operators = st.builds(
+    ShiftOperator,
+    steps,
+    st.dictionaries(st.integers(-3, 3), st.lists(small, max_size=4), max_size=4),
+)
+# the operator's own ladder, the monomial basis, or a ladder at another step
+basis_kinds = st.sampled_from(["own", "monomial", "other"])
+
+
+def _basis(kind, op):
+    if kind == "own":
+        return quasi_basis(op.step)
+    return MONOMIAL if kind == "monomial" else quasi_basis(3 * op.step)
+
+
+class TestLadderMatrixAgainstMonomialDetour:
+    """Lattice matrices are built on the ladder itself; the detour through
+    monomials (``matrix_on_basis`` over ``ShiftOperator.apply``) is the
+    reference they must reproduce entry for entry."""
+
+    @given(shift_operators, basis_kinds, st.integers(0, 7))
+    def test_same_matrix_and_overflow_as_the_reference(self, op, kind, degree):
+        basis = _basis(kind, op)
+        reference = matrix_on_basis(op.apply, basis, degree, require_closure=False)
+        assert _ladder_matrix(op, basis, degree, require_closure=False) == reference
+        if reference.overflow_degrees:
+            with pytest.raises(SubspaceOverflowError) as err:
+                lattice_matrix(op, degree, basis=basis)
+            assert err.value.degree == reference.overflow_degrees[0]
+        else:
+            assert lattice_matrix(op, degree, basis=basis) == reference
+
+    @given(shift_operators, st.integers(0, 7))
+    def test_subspace_check_reports_the_reference_overflow(self, op, spin):
+        reference = matrix_on_basis(op.apply, quasi_basis(op.step), spin,
+                                    require_closure=False)
+        report = invariant_subspace_check(op, spin)
+        assert report.closed == (not reference.overflow_degrees)
+        if report.closed:
+            assert report.block == reference
+        else:
+            assert report.offending_degree == reference.overflow_degrees[0]
+
+    @given(shift_operators, basis_kinds, st.lists(small, max_size=8), small)
+    def test_verify_pointwise_agrees_with_the_monomial_path(self, op, kind, coeffs, lam):
+        phi = Polynomial(coeffs, _basis(kind, op))
+        phi_m = convert_basis(phi, MONOMIAL)
+        assert verify_pointwise(op, phi, lam) == (op.apply(phi_m) - lam * phi_m).is_zero
+
+    def test_verify_pointwise_accepts_true_eigenfunctions_on_any_ladder(self):
+        # the property above mostly sees "false"; true eigenpairs (eigenvalue
+        # k^2 at degree k, a simple spectrum) must pass on three ladders
+        element = second_order_element(SecondOrderParams(-1, F(2, 3), F(5, 7), 1, F(-3, 2), F(1, 4)))
+        step = F(2, 5)
+        op = realize_lattice(element, step)
+        matrix = lattice_matrix(op, 6)
+        for lam, phi in eigenpairs_triangular(matrix):
+            for basis in (MONOMIAL, quasi_basis(3 * step)):
+                assert verify_pointwise(op, convert_basis(convert_basis(phi, MONOMIAL), basis), lam)
+            assert verify_pointwise(op, phi, lam)
 
 
 class TestCharPoly:
@@ -220,6 +287,16 @@ class TestIsospectral:
         cert = isospectral_check(second_order_element(params), F(3, 7), 12)
         assert cert.verdict
         assert cert.continuum_char_poly == cert.lattice_char_poly
+
+    def test_degree_96_certificate(self):
+        a0, a1, a2, b0, b1, c0 = F(1, 2), F(-3, 4), F(5, 3), F(7, 2), F(-1, 5), F(2, 3)
+        element = second_order_element(SecondOrderParams(a0, a1, a2, b0, b1, c0))
+        cert = isospectral_check(element, F(-3, 7), 96)
+        assert cert.verdict
+        expected = Polynomial.constant(1)
+        for k in range(97):
+            expected = expected * Polynomial((-(-a0 * k * (k - 1) + b0 * k + c0), 1))
+        assert cert.lattice_char_poly == cert.continuum_char_poly == expected
 
     def test_certificate_serializes(self):
         cert = isospectral_check(HERMITE, F(1, 2), 3)
