@@ -7,8 +7,12 @@ classical families) and ``verify`` (the machine-checkable identity suites).
 
 All rationals cross this boundary as reduced ``p/q`` strings; there is no
 floating point anywhere in the I/O.  Exit codes: 0 success, 1 verification
-failure, 2 usage error (including a file that cannot be written), 3
-mathematical domain error.
+failure, 2 usage error (including a file that cannot be written and a
+size flag outside its documented range), 3 mathematical domain error.
+
+Size flags are bounded so that no input can ask for an unbounded amount of
+exact arithmetic: ``--degree``, ``--kmax`` and ``--spin`` take 0..500 and
+``--trials`` takes 1..1000.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     StepMismatchError,
     SubspaceOverflowError,
     canonical_name,
+    require,
 )
 from .operators import (
     CLASSICAL_PRESETS,
@@ -60,6 +65,9 @@ EXIT_DOMAIN = 3
 
 _CLASSICAL = tuple(CLASSICAL_PRESETS)
 
+MAX_SIZE = 500
+MAX_TRIALS = 1000
+
 
 class UsageError(Exception):
     pass
@@ -70,6 +78,12 @@ def _parse_fraction_arg(text: str, what: str) -> Fraction:
         return parse_fraction(text)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
+
+
+def _bounded(value: int, flag: str, low: int, high: int) -> int:
+    """``value`` if it lies in ``low..high``, else ParameterError (exit 2)."""
+    require(low <= value <= high, f"{flag} must be an integer in {low}..{high}, got {value}")
+    return value
 
 
 def _parse_params(text: str, count: int, what: str) -> list[Fraction]:
@@ -115,6 +129,8 @@ def _resolve_operator(args):
         if step == 0:
             raise UsageError("--delta must be nonzero")
     notes = []
+    if args.spin is not None:
+        _bounded(args.spin, "--spin", 0, MAX_SIZE)
 
     if op in _CLASSICAL:
         element = second_order_element(classical_preset(op, **_family_kwargs(args)))
@@ -244,9 +260,7 @@ def _cmd_stencil(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     element, shift_op, step, name, notes = _resolve_operator(args)
-    degree = args.degree
-    if degree is None or degree < 0:
-        raise UsageError("--degree must be a non-negative integer")
+    degree = _bounded(args.degree, "--degree", 0, MAX_SIZE)
     if element is not None and step is None:
         matrix = continuum_matrix(element, degree)
         representation = "continuum"
@@ -291,6 +305,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_family(args) -> int:
     step = _parse_fraction_arg(args.delta, "--delta")
+    _bounded(args.kmax, "--kmax", 0, MAX_SIZE)
     table = discrete_family(args.name, step, args.kmax, **_family_kwargs(args))
     if args.format == "json":
         _emit_json(table.to_json_obj(), args.output)
@@ -323,6 +338,8 @@ def _cmd_verify(args) -> int:
                 raise UsageError(f"ISOSPEC_SEED must be an integer, got {env!r}") from exc
         else:
             seed = verify_mod.DEFAULT_SEED
+    if args.trials is not None:
+        _bounded(args.trials, "--trials", 1, MAX_TRIALS)
     summary = verify_mod.run(args.suite, seed=seed, trials=args.trials)
     _emit_json(summary, args.output)
     return EXIT_OK if summary["ok"] else EXIT_VERIFY_FAILED
@@ -341,7 +358,8 @@ def _add_operator_args(parser: argparse.ArgumentParser):
     parser.add_argument("--mu", help="family parameter mu (rational)")
     parser.add_argument("--nu", help="family parameter nu (rational)")
     parser.add_argument("--size", type=int, help="grid size for the finite families")
-    parser.add_argument("--spin", type=int, help="representation spin for qes2/qes3")
+    parser.add_argument("--spin", type=int,
+                        help=f"representation spin for qes2/qes3 (0..{MAX_SIZE})")
     parser.add_argument("--aplus", help="raising coefficient for qes3 (rational)")
     parser.add_argument("--delta", help="lattice step as a rational (e.g. 1/2)")
 
@@ -368,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="matrix, characteristic polynomial, eigenpairs")
     _add_operator_args(p_spec)
-    p_spec.add_argument("--degree", type=int, required=True, help="degree bound")
+    p_spec.add_argument("--degree", type=int, required=True,
+                        help=f"degree bound (0..{MAX_SIZE})")
     p_spec.add_argument("--basis", choices=("monomial", "quasi"), default=None,
                         help="matrix basis for lattice spectra")
     p_spec.add_argument("--format", choices=("json", "text"), default="json")
@@ -379,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--name", required=True,
                        help="discrete-hermite | discrete-laguerre | discrete-legendre | discrete-jacobi")
     p_fam.add_argument("--delta", required=True, help="lattice step (rational)")
-    p_fam.add_argument("--kmax", type=int, required=True, help="highest degree")
+    p_fam.add_argument("--kmax", type=int, required=True,
+                       help=f"highest degree (0..{MAX_SIZE})")
     p_fam.add_argument("--alpha", help="family parameter alpha (rational)")
     p_fam.add_argument("--beta", help="family parameter beta (rational)")
     p_fam.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -393,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="random seed (flag beats ISOSPEC_SEED beats the default "
                             f"{verify_mod.DEFAULT_SEED})")
     p_ver.add_argument("--trials", type=int, default=None,
-                       help="override the per-suite trial counts")
+                       help=f"override the per-suite trial counts (1..{MAX_TRIALS})")
     p_ver.add_argument("--output")
     p_ver.set_defaults(func=_cmd_verify)
 

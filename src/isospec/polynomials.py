@@ -219,8 +219,20 @@ class Polynomial:
         )
 
     def shifted(self, amount) -> "Polynomial":
-        """``p(x + amount)`` (monomial basis)."""
-        return self.affine(1, amount)
+        """``p(x + amount)`` (monomial basis), by the Taylor shift: repeated
+        synthetic division by ``x - amount`` leaves the coefficients
+        ``sum_j C(j, k) * amount^(j-k) * c_j`` in O(d^2) operations."""
+        if not self.basis.is_monomial:
+            raise BasisMismatchError("a shift needs the monomial basis")
+        amount = as_fraction(amount)
+        if not amount or len(self._coeffs) <= 1:
+            return self
+        out = list(self._coeffs)
+        top = len(out) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                out[j] += amount * out[j + 1]
+        return Polynomial(out)
 
     def affine(self, scale, shift) -> "Polynomial":
         """``p(scale*x + shift)`` by Horner over (scale*x + shift), exact."""

@@ -8,6 +8,7 @@ import pytest
 from isospec.cli import main
 from isospec.operators import classical_preset, second_order_element
 from isospec.representations import ShiftOperator, realize_lattice
+from isospec.verify import SUITES, CheckResult, SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -221,3 +222,60 @@ class TestExitCodes:
                                  "--delta", "1", "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith("isospec: error:") and "Traceback" not in err
+
+
+class TestExitCodeTable:
+    """One case per documented exit code, each pinning its failure class."""
+
+    def test_0_success(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--op", "hermite", "--degree", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out)["char_poly"] == ["0", "8", "6", "1"]
+
+    def test_1_verification_failure(self, capsys, monkeypatch):
+        def failing_suite(seed, trials):
+            return SuiteResult("heisenberg", trials, (CheckResult("forced", False, "x"),))
+
+        monkeypatch.setitem(SUITES, "heisenberg", failing_suite)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "heisenberg")
+        assert code == 1
+        blob = json.loads(out)
+        assert not blob["ok"] and blob["failed"] == 1
+
+    def test_2_parameter_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--op", "hermite", "--degree", "501")
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: parameter error:") and "--degree" in err
+
+    def test_3_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--op", "qes2", "--spin", "1",
+                                 "--params", "1,0,0,0,0,0,0,0,0,0", "--degree", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("isospec: domain error:")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--op", "hermite", "--degree", "501"], "--degree"),
+        (["spectrum", "--op", "hermite", "--degree", "-1"], "--degree"),
+        (["spectrum", "--op", "hermite", "--degree", "10000000000"], "--degree"),
+        (["family", "--name", "discrete-hermite", "--delta", "1", "--kmax", "501"], "--kmax"),
+        (["spectrum", "--op", "qes2", "--spin", "501", "--params", "1,0,0,0,0,0,0,0,0,0",
+          "--degree", "2"], "--spin"),
+        (["discretize", "--op", "qes3", "--spin", "501", "--aplus", "1",
+          "--params", "1,2,3,4,5", "--delta", "1"], "--spin"),
+        (["verify", "--suite", "heisenberg", "--trials", "1001"], "--trials"),
+        (["verify", "--suite", "heisenberg", "--trials", "0"], "--trials"),
+        (["verify", "--suite", "heisenberg", "--trials", "-3"], "--trials"),
+    ], ids=["degree-above", "degree-negative", "degree-huge", "kmax", "spin-qes2", "spin-qes3",
+            "trials-above", "trials-zero", "trials-negative"])
+    def test_out_of_range_sizes_exit_two_before_any_work(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: parameter error:") and flag in err
+
+    def test_one_trial_is_the_smallest_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "stencils", "--trials", "1")
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["ok"] and blob["suites"][0]["trials"] == 1

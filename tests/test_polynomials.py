@@ -119,6 +119,22 @@ class TestArithmetic:
         assert p.affine(-1, 0) == p
         assert Polynomial((0, 1)).affine(-1, F(1, 2)) == Polynomial((F(1, 2), -1))
 
+    @given(vectors, coeffs)
+    def test_taylor_shift_matches_horner_substitution(self, vec, amount):
+        p = Polynomial(vec)
+        assert p.shifted(amount) == p.affine(1, amount)
+
+    def test_identity_shifts_return_the_polynomial_itself(self):
+        for p, amount in [(Polynomial((1, 2, 3)), 0), (Polynomial.constant(F(5, 2)), F(7, 3)),
+                          (Polynomial.zero(), 1)]:
+            assert p.shifted(amount) is p
+
+    def test_shift_checks_basis_and_amount_first(self):
+        with pytest.raises(BasisMismatchError):
+            Polynomial((1,), quasi_basis(1)).shifted(0)
+        with pytest.raises(TypeError):
+            Polynomial.constant(1).shifted(0.0)
+
     def test_evaluate_monomial(self):
         p = Polynomial((1, -3, 2))
         assert p(F(1, 2)) == 1 - F(3, 2) + F(1, 2)

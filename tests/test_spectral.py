@@ -85,6 +85,84 @@ def brute_force_char_poly(matrix):
     return poly_matrix_determinant(rows)
 
 
+def _determinant(rows):
+    """Exact determinant by Gaussian elimination with row swaps."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    out = F(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                for j in range(c, n):
+                    a[r][j] -= f * a[c][j]
+    return out
+
+
+def reference_char_poly(rows):
+    """Low-to-high coefficients of det(lambda*I - M): Gaussian elimination at
+    lambda = 0..n, then Newton interpolation through those n+1 values.  It
+    shares no code with isospec.spectral."""
+    n = len(rows)
+    diffs = [
+        _determinant([[(lam if i == j else 0) - rows[i][j] for j in range(n)]
+                      for i in range(n)])
+        for lam in range(n + 1)
+    ]
+    for k in range(1, n + 1):  # divided differences at the nodes 0..n
+        for i in range(n, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):  # coeffs <- coeffs * (x - k) + diffs[k]
+        coeffs = [F(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += diffs[k]
+    return coeffs
+
+
+CHAR_POLY_SHAPES = ("dense", "sparse", "banded", "upper", "lower", "swap", "no-pivot")
+_entries = st.sampled_from(sorted({F(p, q) for p in range(-9, 10) for q in range(1, 7)}))
+_sparse_entries = st.one_of(st.just(F(0)), _entries)
+
+
+@st.composite
+def shaped_matrices(draw, shape):
+    """Square matrices of size 0..10 of one shape.  "swap" zeroes entry (1, 0)
+    under a nonzero (2, 0), so the first Hessenberg pivot needs a row and
+    column swap; "no-pivot" is block upper triangular (reducible), so the
+    reduction meets a column with nothing to pivot on at the cut."""
+    n = draw(st.integers(0, 10))
+    entry = _sparse_entries if shape == "sparse" else _entries
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    lower = upper = n  # nonzero band: -lower <= j - i <= upper
+    if shape == "banded":
+        lower, upper = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    elif shape == "upper":
+        lower = 0
+    elif shape == "lower":
+        upper = 0
+    for i in range(n):
+        for j in range(n):
+            if not -lower <= j - i <= upper:
+                rows[i][j] = F(0)
+    if shape == "swap" and n >= 3:
+        rows[1][0] = F(0)
+        rows[2][0] = draw(_entries.filter(bool))
+    if shape == "no-pivot" and n:
+        cut = draw(st.integers(0, n - 1))
+        for i in range(cut + 1, n):
+            rows[i][:cut + 1] = [F(0)] * (cut + 1)
+    return rows
+
+
 class TestMatrix:
     def test_hermite_matrix_degree_three(self):
         matrix = continuum_matrix(HERMITE, 3)
@@ -219,6 +297,27 @@ class TestCharPoly:
         matrix = OperatorMatrix(MONOMIAL, entries)
         assert matrix.is_upper_triangular
         assert char_poly(matrix) == brute_force_char_poly(matrix)
+
+    @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
+    @given(st.data())
+    def test_agrees_with_gaussian_elimination(self, shape, data):
+        rows = data.draw(shaped_matrices(shape))
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
+        assert list(char_poly(matrix).coeffs) == reference_char_poly(rows)
+
+    def test_qes_blocks_at_spin_18_agree_with_gaussian_elimination(self):
+        rng = random.Random(18)
+        step = F(3, 7)
+        form = QesQuadraticForm(18, *(rand_fraction(rng, nonzero=True) for _ in range(10)))
+        params = ThreePointParams(*(rand_fraction(rng) for _ in range(5)), step=step)
+        for element in (qes_quadratic_element(form),
+                        qes_three_point_element(rand_fraction(rng, nonzero=True), params, 18)):
+            for report in (invariant_subspace_check(element, 18),
+                           invariant_subspace_check(element, 18, step)):
+                block = report.block
+                assert not block.is_upper_triangular and not block.is_lower_triangular
+                expected = reference_char_poly([list(row) for row in block.entries])
+                assert list(report.block_char_poly.coeffs) == expected
 
 
 class TestEigenpairs:
