@@ -115,6 +115,10 @@ def _reject_family_flags(args, what: str):
         raise UsageError(f"{what} takes no family flags, got {', '.join(given)}")
 
 
+# flags that only the QES operators take, and the operators that take them
+_QES_FLAGS = {"spin": ("qes2", "qes3"), "aplus": ("qes3",)}
+
+
 def _resolve_operator(args):
     """Build the requested operator.
 
@@ -129,6 +133,9 @@ def _resolve_operator(args):
         if step == 0:
             raise UsageError("--delta must be nonzero")
     notes = []
+    for flag, takers in _QES_FLAGS.items():
+        if getattr(args, flag) is not None and op not in takers:
+            raise UsageError(f"--{flag} applies only to --op {' or '.join(takers)}")
     if args.spin is not None:
         _bounded(args.spin, "--spin", 0, MAX_SIZE)
 

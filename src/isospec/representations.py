@@ -18,6 +18,7 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .algebra import AlgebraElement
 from .errors import BasisMismatchError, StepMismatchError, require_int
@@ -336,20 +337,39 @@ def realize_lattice(element: AlgebraElement, step) -> ShiftOperator:
 def apply_continuum(element: AlgebraElement, p: Polynomial) -> Polynomial:
     """Apply an element in the differential realization ``a = d/dx, b = x``.
 
-    Each ``b^m a^n`` term differentiates ``n`` times, then multiplies by
-    ``x^m``; the input must be in the monomial basis.
+    Each ``b^m a^n`` term acts by the closed form
+    ``b^m a^n x^k = k!/(k-n)! * x^(k-n+m)`` (zero for ``k < n``), one pass
+    over the coefficient vector per term; the input must be in the monomial
+    basis.
     """
     if not p.basis.is_monomial:
         raise BasisMismatchError("continuum action is defined on the monomial basis")
-    out = Polynomial.zero()
-    for (m, n), c in element.terms.items():
-        q = p
-        for _ in range(n):
-            q = q.derivative()
-        if q.is_zero:
-            continue
-        out = out + c * Polynomial((0,) * m + tuple(q.coeffs))
-    return out
+    (image,) = _continuum_images(element, [p.coeffs])
+    return Polynomial(image)
+
+
+def _continuum_images(element: AlgebraElement, vectors) -> list[list[Fraction]]:
+    """Images of monomial coefficient vectors in the differential
+    realization, untruncated: ``c * c_k * k!/(k-n)!`` lands at degree
+    ``k - n + m`` for every term ``c * b^m a^n`` and every nonzero ``c_k``
+    with ``k >= n``.
+
+    Only the element's terms and the definition ``a = d/dx, b = x`` are
+    read: no algebra product and no lattice, so continuum matrices stay an
+    independent check of :func:`realize_lattice`.
+    """
+    terms = element.terms
+    lift = max((m - n for m, n in terms), default=0)
+    images = []
+    for v in vectors:
+        image = [_ZERO] * (len(v) + max(lift, 0))
+        nonzero = [(k, ck) for k, ck in enumerate(v) if ck]
+        for (m, n), c in terms.items():
+            for k, ck in nonzero:
+                if k >= n:
+                    image[k - n + m] += c * ck * perm(k, n)
+        images.append(image)
+    return images
 
 
 def fock_vector(n: int, step) -> Polynomial:

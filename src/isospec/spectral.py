@@ -6,11 +6,19 @@ degree-j basis element.  Operators that never raise degree therefore give
 upper-triangular matrices, eigenvalues sit on the diagonal, and eigenvectors
 come out of exact back-substitution.
 
+Each realization builds its matrix natively.  Continuum columns come from
+the closed form ``b^m a^n x^j = j!/(j-n)! * x^(j-n+m)`` of each term of the
+element; lattice columns come from the falling-factorial ladder of the shift
+operator.  Neither goes through monomial unit vectors and basis conversion:
+:func:`matrix_on_basis` does, and serves only callers with an arbitrary
+action and the tests' reference.
+
 Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.  A
-non-triangular matrix (a QES block) gets its characteristic polynomial by
-Hessenberg reduction and the Hessenberg recurrence (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9), O(n^3) operations.
+triangular matrix gets the product of ``(lambda - d_i)`` over its diagonal;
+any other (a QES block) gets Hessenberg reduction and the Hessenberg
+recurrence (Cohen, *A Course in Computational Algebraic Number Theory*,
+Alg. 2.2.9), O(n^3) operations.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .errors import (
 from .operators import classical_preset, eigenvalue_convention_note, second_order_element
 from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
 from .rationals import as_fraction, format_fraction
-from .representations import ShiftOperator, apply_continuum, realize_lattice
+from .representations import ShiftOperator, _continuum_images, realize_lattice
 from . import oracles
 
 __all__ = [
@@ -140,9 +148,10 @@ def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = T
     degree-graded basis elements 0..degree of ``basis``.
 
     Each basis element is converted to monomials, mapped, and converted
-    back.  This serves only the continuum side, and tests use it as the
-    reference for lattice matrices; :func:`lattice_matrix` works on the
-    ladder directly.
+    back.  No library path uses it: :func:`lattice_matrix` works on the
+    ladder and :func:`continuum_matrix` by the closed form of each term.  It
+    stays for callers with an arbitrary action, and the tests use it as the
+    reference for both.
 
     If the image of some basis element exceeds the degree bound, either raise
     (``require_closure=True``) or record the offending degrees in
@@ -157,10 +166,19 @@ def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = T
     return _assemble(basis, degree, images, require_closure)
 
 
+def _continuum_matrix(element: AlgebraElement, degree: int,
+                      require_closure: bool) -> OperatorMatrix:
+    """Matrix of the differential realization on monomials: column j holds
+    ``c * j!/(j-n)!`` at row ``j - n + m`` for each term ``c * b^m a^n``."""
+    require_int(degree, "degree bound")
+    units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
+    return _assemble(MONOMIAL, degree, _continuum_images(element, units), require_closure)
+
+
 def continuum_matrix(element: AlgebraElement, degree: int) -> OperatorMatrix:
     """Matrix of the differential realization on monomials of degree <= degree;
     raises SubspaceOverflowError if the element leaves the space."""
-    return matrix_on_basis(lambda p: apply_continuum(element, p), MONOMIAL, degree)
+    return _continuum_matrix(element, degree, require_closure=True)
 
 
 def _ladder_matrix(op: ShiftOperator, basis: Basis, degree: int,
@@ -197,11 +215,14 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
     matrices such as the QES blocks, which are already nearly Hessenberg.
     """
     if matrix.is_upper_triangular or matrix.is_lower_triangular:
-        lam = Polynomial.identity()
-        out = Polynomial.constant(1)
+        # multiply by (lambda - d) in place, lowest degree first
+        out = [_ONE]
         for d in matrix.diagonal:
-            out = out * (lam - Polynomial.constant(d))
-        return out
+            out.insert(0, _ZERO)
+            if d:
+                for i in range(len(out) - 1):
+                    out[i] -= d * out[i + 1]
+        return Polynomial(out)
     n = matrix.size
     h = [list(row) for row in matrix.entries]
     # reduction: clear column m-1 below row m, pivoting on row m
@@ -267,14 +288,23 @@ def eigenpairs_triangular(matrix: OperatorMatrix) -> list[tuple[Fraction, Polyno
                     f"{seen[d]} and {k}"
                 )
             seen[d] = k
+    # each row's nonzero entries right of the diagonal, by column
+    above = [[(j, e) for j, e in enumerate(row[i + 1:], i + 1) if e]
+             for i, row in enumerate(matrix.entries)]
     out = []
     for k in range(matrix.size):
         lam = diag[k]
         vec = [_ZERO] * (k + 1)
         vec[k] = _ONE
         for i in range(k - 1, -1, -1):
-            s = sum(matrix.entries[i][j] * vec[j] for j in range(i + 1, k + 1))
-            vec[i] = -s / (diag[i] - lam)
+            s = _ZERO
+            for j, e in above[i]:
+                if j > k:
+                    break
+                if vec[j]:
+                    s += e * vec[j]
+            if s:
+                vec[i] = -s / (diag[i] - lam)
         out.append((lam, Polynomial(vec, matrix.basis)))
     return out
 
@@ -516,8 +546,7 @@ def invariant_subspace_check(op, spin: int, step=None) -> SubspaceReport:
     """
     require_int(spin, "spin")
     if isinstance(op, AlgebraElement) and step is None:
-        matrix = matrix_on_basis(lambda p: apply_continuum(op, p), MONOMIAL, spin,
-                                 require_closure=False)
+        matrix = _continuum_matrix(op, spin, require_closure=False)
     else:
         if isinstance(op, AlgebraElement):
             op = realize_lattice(op, step)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import gen_a, gen_b, sl2_generator, AlgebraElement
-from .errors import canonical_name
+from .errors import ParameterError, canonical_name, require_int
 from .operators import (
     QesQuadraticForm,
     SecondOrderParams,
@@ -541,6 +541,10 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) -> SuiteResult:
+    """Run one suite; ``trials`` (an integer >= 1) overrides its draw
+    counts, ``None`` keeps them."""
+    if trials is not None:
+        require_int(trials, "trials", 1, ParameterError)
     key = canonical_name(name)
     if key not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {list(SUITE_NAMES) + ['all']}")
@@ -548,7 +552,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) ->
 
 
 def run(suite: str = "all", seed: int = DEFAULT_SEED, trials: int | None = None) -> dict:
-    """Run one suite (or all of them) and return a deterministic summary."""
+    """Run one suite (or all of them) and return a deterministic summary;
+    ``trials`` as in :func:`run_suite`, which checks it."""
     names = list(SUITE_NAMES) if canonical_name(suite) == "all" else [suite]
     results = [run_suite(name, seed, trials) for name in names]
     return {

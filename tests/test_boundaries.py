@@ -18,7 +18,7 @@ from isospec.polynomials import Polynomial, quasi_monomial
 from isospec.rationals import as_fraction, format_fraction, parse_fraction
 from isospec.representations import ShiftOperator, fock_vector
 from isospec.spectral import continuum_matrix, discrete_family, invariant_subspace_check
-from isospec.verify import run_suite
+from isospec.verify import run, run_suite
 
 
 @pytest.mark.parametrize("build, error", [
@@ -39,6 +39,13 @@ from isospec.verify import run_suite
 def test_floats_and_bools_are_not_integers(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("trials", [-3, 0, True, 2.0])
+@pytest.mark.parametrize("call", [run_suite, run], ids=["run_suite", "run"])
+def test_trials_must_be_an_integer_of_at_least_one(call, trials):
+    with pytest.raises(ParameterError):
+        call("stencils", trials=trials)
 
 
 def _cli_stdout(argv):

@@ -216,6 +216,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "family flags" in err
 
+    def test_spin_without_a_qes_operator_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "discretize", "--op", "hermite",
+                                 "--delta", "1", "--spin", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: usage error:") and "--spin" in err
+
+    def test_aplus_without_qes3_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "discretize", "--op", "qes2", "--spin", "2",
+                                 "--params", "1,0,0,0,0,0,0,0,0,0", "--delta", "1",
+                                 "--aplus", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: usage error:") and "--aplus" in err
+
     def test_unwritable_output_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "discretize", "--op", "hermite",

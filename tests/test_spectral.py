@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isospec.algebra import gen_a, gen_b, sl2_generator, unit
+from isospec.algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
 from isospec.errors import (
     DegenerateSpectrumError,
     SubspaceOverflowError,
@@ -257,6 +258,104 @@ class TestLadderMatrixAgainstMonomialDetour:
             assert verify_pointwise(op, phi, lam)
 
 
+def repeated_differentiation(terms, coeffs):
+    """The differential realization the slow way, on plain coefficient
+    lists: differentiate n times, then multiply by x^m, term by term."""
+    out = []
+    for (m, n), c in terms.items():
+        q = list(coeffs)
+        for _ in range(n):
+            q = [k * q[k] for k in range(1, len(q))]
+        q = [F(0)] * m + q
+        out += [F(0)] * (len(q) - len(out))
+        for k, qk in enumerate(q):
+            out[k] += c * qk
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def reference_continuum_columns(element, degree):
+    """Images of 1, x, ..., x^degree, trimmed, by repeated differentiation."""
+    terms = element.terms
+    return [repeated_differentiation(terms, [F(0)] * j + [F(1)]) for j in range(degree + 1)]
+
+
+exponents = st.integers(0, 4)
+elements = st.dictionaries(st.tuples(exponents, exponents), small, max_size=5).map(AlgebraElement)
+# terms b^m a^n with m <= n: they never raise degree
+non_raising = st.dictionaries(
+    st.tuples(exponents, exponents).filter(lambda mn: mn[0] <= mn[1]), small, max_size=3)
+
+
+@st.composite
+def top_cancelling_elements(draw):
+    """An element and a spin at which two terms of one lift r >= 1 cancel in
+    the top coefficient of the image of x^spin, plus non-raising terms.
+    With r = 1 the element therefore closes on degree <= spin."""
+    spin = draw(st.integers(1, 6))
+    lift = draw(st.integers(1, 2))
+    n1, n2 = draw(st.lists(st.integers(0, min(spin, 4)), min_size=2, max_size=2, unique=True))
+    c1 = draw(small.filter(bool))
+    c2 = -c1 * perm(spin, n1) / perm(spin, n2)
+    terms = draw(non_raising)
+    for key, c in (((n1 + lift, n1), c1), ((n2 + lift, n2), c2)):
+        terms[key] = terms.get(key, F(0)) + c
+    return AlgebraElement(terms), spin, lift
+
+
+class TestContinuumAgainstRepeatedDifferentiation:
+    """The continuum side is built from the closed form of each term; the old
+    algorithm, repeated differentiation then multiplication by x^m, is the
+    reference it must reproduce."""
+
+    @given(elements, st.lists(small, max_size=9))
+    def test_apply_continuum_matches(self, element, coeffs):
+        image = apply_continuum(element, Polynomial(coeffs))
+        assert list(image.coeffs) == repeated_differentiation(element.terms, coeffs)
+        assert image.basis == MONOMIAL
+
+    @given(elements, st.integers(0, 8))
+    def test_continuum_matrix_matches_or_overflows_at_the_same_degree(self, element, degree):
+        columns = reference_continuum_columns(element, degree)
+        overflow = [j for j, col in enumerate(columns) if len(col) > degree + 1]
+        if overflow:
+            with pytest.raises(SubspaceOverflowError) as err:
+                continuum_matrix(element, degree)
+            assert err.value.degree == overflow[0]
+        else:
+            padded = [col + [F(0)] * (degree + 1 - len(col)) for col in columns]
+            assert continuum_matrix(element, degree).entries == tuple(zip(*padded))
+
+    @staticmethod
+    def assert_subspace_check_matches(element, spin):
+        columns = reference_continuum_columns(element, spin)
+        overflow = [j for j, col in enumerate(columns) if len(col) > spin + 1]
+        report = invariant_subspace_check(element, spin)
+        assert report.closed == (not overflow)
+        assert report.offending_degree == (overflow[0] if overflow else None)
+        if report.closed:
+            padded = [col + [F(0)] * (spin + 1 - len(col)) for col in columns]
+            assert report.block.entries == tuple(zip(*padded))
+            assert report.block.overflow_degrees == ()
+        else:
+            assert report.block is None
+        return report
+
+    @given(elements, st.integers(0, 8))
+    def test_subspace_check_matches(self, element, spin):
+        self.assert_subspace_check_matches(element, spin)
+
+    @given(top_cancelling_elements())
+    def test_cancelled_top_coefficients_do_not_overflow(self, drawn):
+        element, spin, lift = drawn
+        # the top coefficient of the image of x^spin cancelled
+        assert len(reference_continuum_columns(element, spin)[spin]) <= spin + lift
+        report = self.assert_subspace_check_matches(element, spin)
+        if lift == 1:
+            assert report.closed
+
+
 class TestCharPoly:
     def test_triangular_product(self):
         matrix = continuum_matrix(HERMITE, 2)
@@ -297,6 +396,17 @@ class TestCharPoly:
         matrix = OperatorMatrix(MONOMIAL, entries)
         assert matrix.is_upper_triangular
         assert char_poly(matrix) == brute_force_char_poly(matrix)
+
+    @given(st.sampled_from(["upper", "lower"]), st.data())
+    def test_triangular_fast_path_is_the_product_over_the_diagonal(self, shape, data):
+        rows = data.draw(shaped_matrices(shape))
+        expected = [F(1)]
+        for i, row in enumerate(rows):  # expected <- expected * (lambda - d_i)
+            expected = ([-row[i] * expected[0]]
+                        + [expected[k - 1] - row[i] * expected[k] for k in range(1, len(expected))]
+                        + [expected[-1]])
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
+        assert list(char_poly(matrix).coeffs) == expected
 
     @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
     @given(st.data())
@@ -352,6 +462,39 @@ class TestEigenpairs:
                 for i in range(matrix.size)
             ]
             assert image == [lam * vec.coefficient(i) for i in range(matrix.size)]
+
+
+@st.composite
+def upper_triangular_simple_spectrum(draw):
+    """Upper-triangular matrices of size 0..10 with distinct diagonal entries
+    and zeros scattered above the diagonal."""
+    n = draw(st.integers(0, 10))
+    diag = draw(st.lists(_entries, min_size=n, max_size=n, unique=True))
+    return [[diag[i] if i == j else draw(_sparse_entries) if j > i else F(0)
+             for j in range(n)] for i in range(n)]
+
+
+def dense_back_substitution(rows):
+    """Eigenpairs of an upper-triangular matrix with distinct diagonal: the
+    degree-k eigenvector has leading coefficient 1 and is solved over every
+    entry right of the diagonal, zeros included."""
+    out = []
+    for k in range(len(rows)):
+        lam = rows[k][k]
+        vec = [F(0)] * k + [F(1)]
+        for i in range(k - 1, -1, -1):
+            s = sum((rows[i][j] * vec[j] for j in range(i + 1, k + 1)), F(0))
+            vec[i] = -s / (rows[i][i] - lam)
+        out.append((lam, vec))
+    return out
+
+
+class TestEigenpairsAgainstDenseBackSubstitution:
+    @given(upper_triangular_simple_spectrum())
+    def test_same_eigenpairs(self, rows):
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
+        got = [(lam, list(vec.coeffs)) for lam, vec in eigenpairs_triangular(matrix)]
+        assert got == dense_back_substitution(rows)
 
 
 class TestSpectralReport:
