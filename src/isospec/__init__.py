@@ -83,7 +83,6 @@ from .spectral import (
     invariant_subspace_check,
     isospectral_check,
     lattice_matrix,
-    matrix_on_basis,
     spectral_report,
     stencil_extract,
     substitute_quasi,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import require_int
+from .errors import require_int, unique_keys
 from .rationals import as_fraction, format_fraction
 
 __all__ = [
@@ -187,7 +187,7 @@ class AlgebraElement:
 
     @classmethod
     def from_json_obj(cls, obj) -> "AlgebraElement":
-        return cls({(t["m"], t["n"]): t["coeff"] for t in obj})
+        return cls(unique_keys((((t["m"], t["n"]), t["coeff"]) for t in obj), "term"))
 
 
 def _raw(terms: dict) -> AlgebraElement:

@@ -10,6 +10,9 @@ floating point anywhere in the I/O.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including a file that cannot be written and a
 size flag outside its documented range), 3 mathematical domain error.
 
+Integer flags and ``ISOSPEC_SEED`` are read strictly, in the wire form of
+:func:`~isospec.rationals.parse_fraction` without a denominator: ``1_0``,
+``+2``, ``010`` or non-ASCII digits are usage errors, never another number.
 Size flags are bounded so that no input can ask for an unbounded amount of
 exact arithmetic: ``--degree``, ``--kmax`` and ``--spin`` take 0..500 and
 ``--trials`` takes 1..1000.
@@ -78,6 +81,18 @@ def _parse_fraction_arg(text: str, what: str) -> Fraction:
         return parse_fraction(text)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
+
+
+def _parse_int_arg(text: str) -> int:
+    """An integer flag or ``ISOSPEC_SEED``: ``"p"`` in the wire form of
+    parse_fraction (surrounding blanks allowed), else ArgumentTypeError."""
+    try:
+        value = parse_fraction(text)
+        if value.denominator == 1:
+            return value.numerator
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
 def _bounded(value: int, flag: str, low: int, high: int) -> int:
@@ -340,8 +355,8 @@ def _cmd_verify(args) -> int:
         env = os.environ.get("ISOSPEC_SEED")
         if env is not None:
             try:
-                seed = int(env)
-            except ValueError as exc:
+                seed = _parse_int_arg(env)
+            except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"ISOSPEC_SEED must be an integer, got {env!r}") from exc
         else:
             seed = verify_mod.DEFAULT_SEED
@@ -364,8 +379,8 @@ def _add_operator_args(parser: argparse.ArgumentParser):
     parser.add_argument("--gamma", help="family parameter gamma (rational)")
     parser.add_argument("--mu", help="family parameter mu (rational)")
     parser.add_argument("--nu", help="family parameter nu (rational)")
-    parser.add_argument("--size", type=int, help="grid size for the finite families")
-    parser.add_argument("--spin", type=int,
+    parser.add_argument("--size", type=_parse_int_arg, help="grid size for the finite families")
+    parser.add_argument("--spin", type=_parse_int_arg,
                         help=f"representation spin for qes2/qes3 (0..{MAX_SIZE})")
     parser.add_argument("--aplus", help="raising coefficient for qes3 (rational)")
     parser.add_argument("--delta", help="lattice step as a rational (e.g. 1/2)")
@@ -393,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="matrix, characteristic polynomial, eigenpairs")
     _add_operator_args(p_spec)
-    p_spec.add_argument("--degree", type=int, required=True,
+    p_spec.add_argument("--degree", type=_parse_int_arg, required=True,
                         help=f"degree bound (0..{MAX_SIZE})")
     p_spec.add_argument("--basis", choices=("monomial", "quasi"), default=None,
                         help="matrix basis for lattice spectra")
@@ -405,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--name", required=True,
                        help="discrete-hermite | discrete-laguerre | discrete-legendre | discrete-jacobi")
     p_fam.add_argument("--delta", required=True, help="lattice step (rational)")
-    p_fam.add_argument("--kmax", type=int, required=True,
+    p_fam.add_argument("--kmax", type=_parse_int_arg, required=True,
                        help=f"highest degree (0..{MAX_SIZE})")
     p_fam.add_argument("--alpha", help="family parameter alpha (rational)")
     p_fam.add_argument("--beta", help="family parameter beta (rational)")
@@ -416,10 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the verification suites")
     p_ver.add_argument("--suite", default="all",
                        help="all | " + " | ".join(verify_mod.SUITE_NAMES))
-    p_ver.add_argument("--seed", type=int, default=None,
+    p_ver.add_argument("--seed", type=_parse_int_arg, default=None,
                        help="random seed (flag beats ISOSPEC_SEED beats the default "
                             f"{verify_mod.DEFAULT_SEED})")
-    p_ver.add_argument("--trials", type=int, default=None,
+    p_ver.add_argument("--trials", type=_parse_int_arg, default=None,
                        help=f"override the per-suite trial counts (1..{MAX_TRIALS})")
     p_ver.add_argument("--output")
     p_ver.set_defaults(func=_cmd_verify)

@@ -59,6 +59,25 @@ def require_int(value, name: str, minimum: int = 0, error: type[Exception] = Val
     return value
 
 
+def unique_keys(pairs, what: str) -> dict:
+    """Dict of the ``(key, value)`` pairs read from the wire; a repeated key
+    raises ValueError instead of its last value silently winning."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} {key!r} appears more than once")
+        out[key] = value
+    return out
+
+
+def wire_list(value, what: str) -> list:
+    """``value`` if it is a list (a JSON array); anything else, a string
+    above all, raises ValueError instead of being read item by item."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def canonical_name(name: str) -> str:
     """Lookup key of a user-supplied name: surrounding blanks are ignored,
     case does not matter, and ``_`` reads as ``-``."""

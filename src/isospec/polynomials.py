@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatchError, require_int
+from .errors import BasisMismatchError, require_int, wire_list
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -62,7 +62,12 @@ class Basis:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Basis":
-        return MONOMIAL if obj == "monomial" else quasi_basis(obj["quasi"])
+        """Inverse of :meth:`to_json_obj`; any other value raises ValueError."""
+        if obj == "monomial":
+            return MONOMIAL
+        if isinstance(obj, dict) and obj.keys() == {"quasi"}:
+            return quasi_basis(obj["quasi"])
+        raise ValueError(f'basis must be "monomial" or {{"quasi": "p/q"}}, got {obj!r}')
 
 
 MONOMIAL = Basis()
@@ -297,7 +302,7 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
-        return cls(obj["coeffs"], Basis.from_json_obj(obj["basis"]))
+        return cls(wire_list(obj["coeffs"], "coeffs"), Basis.from_json_obj(obj["basis"]))
 
 
 def quasi_monomial(n: int, step) -> Polynomial:

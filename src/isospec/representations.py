@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import perm
 
 from .algebra import AlgebraElement
-from .errors import BasisMismatchError, StepMismatchError, require_int
+from .errors import BasisMismatchError, StepMismatchError, require_int, unique_keys, wire_list
 from .polynomials import Basis, Polynomial
 from .rationals import as_fraction, format_fraction, nonzero_step
 
@@ -282,7 +282,8 @@ class ShiftOperator:
     def from_json_obj(cls, obj) -> "ShiftOperator":
         return cls(
             obj["delta"],
-            {t["shift"]: Polynomial(t["coeffs"]) for t in obj["terms"]},
+            unique_keys(((t["shift"], Polynomial(wire_list(t["coeffs"], "coeffs")))
+                         for t in obj["terms"]), "shift"),
         )
 
 

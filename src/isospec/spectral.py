@@ -6,12 +6,12 @@ degree-j basis element.  Operators that never raise degree therefore give
 upper-triangular matrices, eigenvalues sit on the diagonal, and eigenvectors
 come out of exact back-substitution.
 
-Each realization builds its matrix natively.  Continuum columns come from
-the closed form ``b^m a^n x^j = j!/(j-n)! * x^(j-n+m)`` of each term of the
-element; lattice columns come from the falling-factorial ladder of the shift
-operator.  Neither goes through monomial unit vectors and basis conversion:
-:func:`matrix_on_basis` does, and serves only callers with an arbitrary
-action and the tests' reference.
+Each realization has one builder: :func:`continuum_matrix` uses the closed
+form ``b^m a^n x^j = j!/(j-n)! * x^(j-n+m)`` of each term, and
+:func:`lattice_matrix` the falling-factorial ladder.  Both raise
+:class:`SubspaceOverflowError` at the lowest degree whose image leaves the
+space; that is the only overflow signal.  The unexported
+:func:`matrix_on_basis` (through monomials) is the tests' reference.
 
 Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.  A
@@ -43,7 +43,6 @@ from . import oracles
 
 __all__ = [
     "OperatorMatrix",
-    "matrix_on_basis",
     "continuum_matrix",
     "lattice_matrix",
     "char_poly",
@@ -71,13 +70,11 @@ class OperatorMatrix:
     """Square matrix of an operator on a graded basis.
 
     ``entries[i][j]`` is the coefficient of the degree-i basis element in the
-    image of the degree-j one.  ``overflow_degrees`` lists columns whose image
-    left the space (their above-bound part is not stored).
+    image of the degree-j one.
     """
 
     basis: Basis
     entries: tuple[tuple[Fraction, ...], ...]
-    overflow_degrees: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
@@ -115,47 +112,35 @@ class OperatorMatrix:
             "basis": self.basis.to_json_obj(),
             "degree_bound": self.degree_bound,
             "entries": [[format_fraction(c) for c in row] for row in self.entries],
-            "overflow_degrees": list(self.overflow_degrees),
         }
 
 
-def _assemble(basis: Basis, degree: int, images, require_closure: bool) -> OperatorMatrix:
+def _assemble(basis: Basis, degree: int, images) -> OperatorMatrix:
     """Matrix whose column j is the coefficient vector ``images[j]`` on
-    ``basis``; an image above the degree bound raises SubspaceOverflowError
-    (``require_closure``) or is recorded in ``overflow_degrees`` and cut."""
+    ``basis``; raises SubspaceOverflowError at the first image above the
+    degree bound."""
     columns = []
-    overflow = []
     for j, image in enumerate(images):
         top = len(image) - 1
         while top >= 0 and not image[top]:
             top -= 1
         if top > degree:
-            if require_closure:
-                raise SubspaceOverflowError(
-                    f"image of the degree-{j} basis element has degree "
-                    f"{top} > bound {degree}",
-                    degree=j,
-                )
-            overflow.append(j)
+            raise SubspaceOverflowError(
+                f"image of the degree-{j} basis element has degree "
+                f"{top} > bound {degree}",
+                degree=j,
+            )
         column = list(image[:degree + 1])
         columns.append(column + [_ZERO] * (degree + 1 - len(column)))
-    return OperatorMatrix(basis=basis, entries=tuple(zip(*columns)),
-                          overflow_degrees=tuple(overflow))
+    return OperatorMatrix(basis=basis, entries=tuple(zip(*columns)))
 
 
-def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = True) -> OperatorMatrix:
+def matrix_on_basis(action, basis: Basis, degree: int) -> OperatorMatrix:
     """Matrix of ``action`` (a map of monomial-basis polynomials) on the
-    degree-graded basis elements 0..degree of ``basis``.
-
-    Each basis element is converted to monomials, mapped, and converted
-    back.  No library path uses it: :func:`lattice_matrix` works on the
-    ladder and :func:`continuum_matrix` by the closed form of each term.  It
-    stays for callers with an arbitrary action, and the tests use it as the
-    reference for both.
-
-    If the image of some basis element exceeds the degree bound, either raise
-    (``require_closure=True``) or record the offending degrees in
-    ``overflow_degrees`` and keep only the in-space part.
+    degree-graded basis elements 0..degree of ``basis``, each converted to
+    monomials, mapped and converted back; raises SubspaceOverflowError like
+    the builders.  Not exported and used by no library path: it is the
+    tests' reference for :func:`lattice_matrix` and :func:`continuum_matrix`.
     """
     require_int(degree, "degree bound")
     images = (
@@ -163,30 +148,15 @@ def matrix_on_basis(action, basis: Basis, degree: int, require_closure: bool = T
                       basis).coeffs
         for j in range(degree + 1)
     )
-    return _assemble(basis, degree, images, require_closure)
-
-
-def _continuum_matrix(element: AlgebraElement, degree: int,
-                      require_closure: bool) -> OperatorMatrix:
-    """Matrix of the differential realization on monomials: column j holds
-    ``c * j!/(j-n)!`` at row ``j - n + m`` for each term ``c * b^m a^n``."""
-    require_int(degree, "degree bound")
-    units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
-    return _assemble(MONOMIAL, degree, _continuum_images(element, units), require_closure)
+    return _assemble(basis, degree, images)
 
 
 def continuum_matrix(element: AlgebraElement, degree: int) -> OperatorMatrix:
     """Matrix of the differential realization on monomials of degree <= degree;
     raises SubspaceOverflowError if the element leaves the space."""
-    return _continuum_matrix(element, degree, require_closure=True)
-
-
-def _ladder_matrix(op: ShiftOperator, basis: Basis, degree: int,
-                   require_closure: bool) -> OperatorMatrix:
-    """Matrix of a shift operator on ``basis``, computed on that ladder."""
     require_int(degree, "degree bound")
     units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
-    return _assemble(basis, degree, op._ladder_images(units, basis), require_closure)
+    return _assemble(MONOMIAL, degree, _continuum_images(element, units))
 
 
 def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -> OperatorMatrix:
@@ -201,7 +171,9 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
     """
     if basis is None:
         basis = quasi_basis(op.step)
-    return _ladder_matrix(op, basis, degree, require_closure=True)
+    require_int(degree, "degree bound")
+    units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
+    return _assemble(basis, degree, op._ladder_images(units, basis))
 
 
 def char_poly(matrix: OperatorMatrix) -> Polynomial:
@@ -545,28 +517,18 @@ def invariant_subspace_check(op, spin: int, step=None) -> SubspaceReport:
     operator (checked on its own lattice and quasi-monomial ladder).
     """
     require_int(spin, "spin")
-    if isinstance(op, AlgebraElement) and step is None:
-        matrix = _continuum_matrix(op, spin, require_closure=False)
-    else:
-        if isinstance(op, AlgebraElement):
+    if isinstance(op, AlgebraElement):
+        if step is not None:
             op = realize_lattice(op, step)
-        elif not isinstance(op, ShiftOperator):
-            raise TypeError("op must be an AlgebraElement or a ShiftOperator")
-        elif step is not None and as_fraction(step) != op.step:
-            raise IsospecError("step argument disagrees with the operator's step")
-        matrix = _ladder_matrix(op, quasi_basis(op.step), spin, require_closure=False)
-    if matrix.overflow_degrees:
-        return SubspaceReport(
-            spin=spin,
-            closed=False,
-            offending_degree=matrix.overflow_degrees[0],
-            block=None,
-            block_char_poly=None,
-        )
-    return SubspaceReport(
-        spin=spin,
-        closed=True,
-        offending_degree=None,
-        block=matrix,
-        block_char_poly=char_poly(matrix),
-    )
+    elif not isinstance(op, ShiftOperator):
+        raise TypeError("op must be an AlgebraElement or a ShiftOperator")
+    elif step is not None and as_fraction(step) != op.step:
+        raise IsospecError("step argument disagrees with the operator's step")
+    try:
+        if isinstance(op, AlgebraElement):
+            matrix = continuum_matrix(op, spin)
+        else:
+            matrix = lattice_matrix(op, spin)
+    except SubspaceOverflowError as exc:
+        return SubspaceReport(spin, False, exc.degree, None, None)
+    return SubspaceReport(spin, True, None, matrix, char_poly(matrix))

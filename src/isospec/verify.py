@@ -109,9 +109,10 @@ def _rng(seed: int, suite: str) -> random.Random:
     return random.Random(f"{seed}:{suite}")
 
 
-def _rand_fraction(rng: random.Random, lo=-9, hi=9, max_den=5, nonzero=False) -> Fraction:
+def _rand_fraction(rng: random.Random, nonzero=False) -> Fraction:
+    """p/q with |p| <= 9 and 1 <= q <= 5; nonzero on request."""
     while True:
-        value = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+        value = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         if value or not nonzero:
             return value
 
@@ -144,15 +145,18 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
         "forward minus backward difference equals step times their product",
         ok, f"steps {{{_steps_str()}}}"))
 
+    # x^(0)..x^(21) per step, each built once by quasi_monomial, the
+    # reference the realization is checked against
+    ladders = [[quasi_monomial(n, step) for n in range(22)] for step in STEP_SET]
+
     ok = True
-    for step in STEP_SET:
+    for step, ladder in zip(STEP_SET, ladders):
         a_op, b_op = forward_difference(step), lattice_raising(step)
         for n in range(21):
-            ladder = quasi_monomial(n, step)
-            ok = ok and b_op.apply(ladder) == quasi_monomial(n + 1, step)
-            down = a_op.apply(ladder)
+            ok = ok and b_op.apply(ladder[n]) == ladder[n + 1]
+            down = a_op.apply(ladder[n])
             if n:
-                ok = ok and down == n * quasi_monomial(n - 1, step)
+                ok = ok and down == n * ladder[n - 1]
             else:
                 ok = ok and down.is_zero
     checks.append(CheckResult(
@@ -160,9 +164,9 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
         ok, f"steps {{{_steps_str()}}}, n <= 20"))
 
     ok = True
-    for step in STEP_SET:
+    for step, ladder in zip(STEP_SET, ladders):
         for n in range(21):
-            ok = ok and fock_vector(n, step) == quasi_monomial(n, step)
+            ok = ok and fock_vector(n, step) == ladder[n]
     checks.append(CheckResult(
         "iterated raising of the constant equals the quasi-monomial",
         ok, "n <= 20"))
@@ -408,54 +412,42 @@ def _suite_hermite(seed: int, trials: int | None) -> SuiteResult:
 # -- presets: discrete families against the reference oracles ------------
 
 
+def _preset_mismatches(name: str, k_top: int, **params) -> int:
+    """Degrees k <= k_top at which the lattice eigenvalue of a discrete
+    preset differs from its closed form or its eigenvector from the
+    reference family."""
+    preset = discrete_preset(name, **params)
+    spec = oracles.family(name, **params)
+    matrix = lattice_matrix(three_point_operator(preset), k_top, basis=MONOMIAL)
+    bad = 0
+    for k, (lam, vec) in enumerate(eigenpairs_triangular(matrix)):
+        ref = oracles.reference_in_operator_variable(spec, k)
+        if lam != three_point_diagonal(preset, k) or not oracles.projective_equal(vec, ref):
+            bad += 1
+    return bad
+
+
 def _suite_presets(seed: int, trials: int | None) -> SuiteResult:
     checks = []
 
-    bad = []
-    for alpha in (0, 1, 2):
-        for beta in (0, 1, 2):
-            for size in (4, 5, 6):
-                params = discrete_preset("hahn", alpha=alpha, beta=beta, size=size)
-                spec = oracles.family("hahn", alpha=alpha, beta=beta, size=size)
-                k_top = min(8, size - 1)
-                op = three_point_operator(params)
-                matrix = lattice_matrix(op, k_top, basis=MONOMIAL)
-                pairs = eigenpairs_triangular(matrix)
-                for k, (lam, vec) in enumerate(pairs):
-                    ref = oracles.reference_in_operator_variable(spec, k)
-                    if lam != three_point_diagonal(params, k) or not oracles.projective_equal(vec, ref):
-                        bad.append((alpha, beta, size, k))
+    bad = sum(_preset_mismatches("hahn", min(8, size - 1), alpha=alpha, beta=beta, size=size)
+              for alpha in (0, 1, 2) for beta in (0, 1, 2) for size in (4, 5, 6))
     checks.append(CheckResult(
         "hahn preset eigenvectors match the reference family",
         not bad,
         f"alpha,beta in {{0,1,2}}, size in {{4,5,6}}, k <= min(8, size-1); "
-        f"{len(bad)} mismatches"))
+        f"{bad} mismatches"))
 
-    bad = []
-    for gamma, mu in ((1, Fraction(1, 2)), (1, 2)):
-        params = discrete_preset("meixner", gamma=gamma, mu=mu)
-        spec = oracles.family("meixner", gamma=gamma, mu=mu)
-        matrix = lattice_matrix(three_point_operator(params), 8, basis=MONOMIAL)
-        for k, (lam, vec) in enumerate(eigenpairs_triangular(matrix)):
-            ref = oracles.reference_in_operator_variable(spec, k)
-            if lam != three_point_diagonal(params, k) or not oracles.projective_equal(vec, ref):
-                bad.append((gamma, mu, k))
+    bad = sum(_preset_mismatches("meixner", 8, gamma=gamma, mu=mu)
+              for gamma, mu in ((1, Fraction(1, 2)), (1, 2)))
     checks.append(CheckResult(
         "meixner preset eigenvectors match the reference family",
-        not bad, f"gamma=1, mu in {{1/2, 2}}, k <= 8; {len(bad)} mismatches"))
+        not bad, f"gamma=1, mu in {{1/2, 2}}, k <= 8; {bad} mismatches"))
 
-    bad = []
-    for mu in (1, 3):
-        params = discrete_preset("charlier", mu=mu)
-        spec = oracles.family("charlier", mu=mu)
-        matrix = lattice_matrix(three_point_operator(params), 8, basis=MONOMIAL)
-        for k, (lam, vec) in enumerate(eigenpairs_triangular(matrix)):
-            ref = oracles.reference_in_operator_variable(spec, k)
-            if lam != three_point_diagonal(params, k) or not oracles.projective_equal(vec, ref):
-                bad.append((mu, k))
+    bad = sum(_preset_mismatches("charlier", 8, mu=mu) for mu in (1, 3))
     checks.append(CheckResult(
         "charlier preset eigenvectors match the reference family",
-        not bad, f"mu in {{1, 3}}, k <= 8; {len(bad)} mismatches"))
+        not bad, f"mu in {{1, 3}}, k <= 8; {bad} mismatches"))
 
     bad = []
     for name, params in (
@@ -480,33 +472,33 @@ def _suite_presets(seed: int, trials: int | None) -> SuiteResult:
 # -- qes: invariant subspaces and block spectra -----------------------------
 
 
+def _blocks_agree(element: AlgebraElement, step: Fraction, spin: int) -> bool:
+    """Both realizations of ``element`` (the lattice one at ``step``) close on
+    degree <= spin, with equal block characteristic polynomials."""
+    cont = invariant_subspace_check(element, spin)
+    latt = invariant_subspace_check(realize_lattice(element, step), spin)
+    return cont.closed and latt.closed and cont.block_char_poly == latt.block_char_poly
+
+
 def _suite_qes(seed: int, trials: int | None) -> SuiteResult:
     rng = _rng(seed, "qes")
     n_trials = trials or 10
+    total = 6 * n_trials
     checks = []
 
     bad = 0
-    total = 0
     for spin in range(1, 7):
         for i in range(n_trials):
-            total += 1
-            form = _draw_qes_form(rng, spin)
-            element = qes_quadratic_element(form)
-            step = STEP_SET[(spin + i) % len(STEP_SET)]
-            cont = invariant_subspace_check(element, spin)
-            latt = invariant_subspace_check(realize_lattice(element, step), spin)
-            if not (cont.closed and latt.closed
-                    and cont.block_char_poly == latt.block_char_poly):
+            element = qes_quadratic_element(_draw_qes_form(rng, spin))
+            if not _blocks_agree(element, STEP_SET[(spin + i) % len(STEP_SET)], spin):
                 bad += 1
     checks.append(CheckResult(
         "spin quadratic forms preserve degree <= spin with equal block spectra",
         bad == 0, f"spin 1..6 x {n_trials} draws, {bad} failures of {total}"))
 
     bad = 0
-    total = 0
     for spin in range(1, 7):
         for i in range(n_trials):
-            total += 1
             step = STEP_SET[(spin + i) % len(STEP_SET)]
             params = ThreePointParams(
                 a1=_rand_fraction(rng), a2=_rand_fraction(rng),
@@ -514,11 +506,7 @@ def _suite_qes(seed: int, trials: int | None) -> SuiteResult:
                 a5=_rand_fraction(rng), step=step,
             )
             a_plus = _rand_fraction(rng, nonzero=True)
-            element = qes_three_point_element(a_plus, params, spin)
-            cont = invariant_subspace_check(element, spin)
-            latt = invariant_subspace_check(realize_lattice(element, step), spin)
-            if not (cont.closed and latt.closed
-                    and cont.block_char_poly == latt.block_char_poly):
+            if not _blocks_agree(qes_three_point_element(a_plus, params, spin), step, spin):
                 bad += 1
     checks.append(CheckResult(
         "extended three-point forms preserve degree <= spin with equal block spectra",

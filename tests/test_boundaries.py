@@ -14,7 +14,7 @@ from isospec.errors import ParameterError
 from isospec.operators import (QesQuadraticForm, SecondOrderParams, classical_preset,
                                discrete_preset)
 from isospec.oracles import family, reference_polynomial
-from isospec.polynomials import Polynomial, quasi_monomial
+from isospec.polynomials import Basis, Polynomial, quasi_monomial
 from isospec.rationals import as_fraction, format_fraction, parse_fraction
 from isospec.representations import ShiftOperator, fock_vector
 from isospec.spectral import continuum_matrix, discrete_family, invariant_subspace_check
@@ -110,6 +110,22 @@ def test_non_canonical_wire_text_is_rejected(text):
     lambda: Polynomial.from_json_obj({"basis": "monomial", "coeffs": ["1e3"]}),
 ], ids=["as_fraction", "Polynomial", "ShiftOperator", "SecondOrderParams", "from_json_obj"])
 def test_library_strings_follow_the_wire_form(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ShiftOperator.from_json_obj({"delta": "1", "terms": [
+        {"shift": 1, "coeffs": ["1"]}, {"shift": 1, "coeffs": ["2"]}]}),
+    lambda: AlgebraElement.from_json_obj([
+        {"m": 1, "n": 0, "coeff": "1"}, {"m": 1, "n": 0, "coeff": "2"}]),
+    lambda: Polynomial.from_json_obj({"basis": "monomial", "coeffs": "12"}),
+    lambda: ShiftOperator.from_json_obj({"delta": "1", "terms": [{"shift": 1, "coeffs": "12"}]}),
+    lambda: Basis.from_json_obj("quasi"),
+    lambda: Basis.from_json_obj({"quasi": "1", "step": "2"}),
+], ids=["shift-twice", "term-twice", "coeffs-string", "shift-coeffs-string", "basis-string",
+        "basis-extra-key"])
+def test_wire_readers_refuse_input_they_would_misread(build):
     with pytest.raises(ValueError):
         build()
 

@@ -287,6 +287,33 @@ class TestSizeCaps:
         assert code == 2 and out == ""
         assert err.startswith("isospec: parameter error:") and flag in err
 
+    @pytest.mark.parametrize("text", ["1_0", "+2", "\u0662", "4/3"],
+                             ids=["underscore", "plus", "arabic-2", "fraction"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--op", "hermite", "--degree"], "--degree"),
+        (["family", "--name", "discrete-hermite", "--delta", "1", "--kmax"], "--kmax"),
+        (["spectrum", "--op", "qes2", "--params", "1,0,0,0,0,0,0,0,0,0", "--degree", "2",
+          "--spin"], "--spin"),
+        (["discretize", "--op", "three-point", "--preset", "hahn", "--alpha", "0",
+          "--beta", "0", "--size"], "--size"),
+        (["verify", "--suite", "heisenberg", "--trials"], "--trials"),
+        (["verify", "--suite", "heisenberg", "--seed"], "--seed"),
+    ], ids=["degree", "kmax", "spin", "size", "trials", "seed"])
+    def test_integer_flags_are_strict(self, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: not an integer" in captured.err
+
+    @pytest.mark.parametrize("text", ["1_0", "+2", "\u0662", "4/3"],
+                             ids=["underscore", "plus", "arabic-2", "fraction"])
+    def test_seed_environment_variable_is_strict(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("ISOSPEC_SEED", text)
+        code, out, err = run_cli(capsys, "verify", "--suite", "heisenberg")
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: usage error:") and "ISOSPEC_SEED" in err
+
     def test_one_trial_is_the_smallest_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "stencils", "--trials", "1")
         assert code == 0

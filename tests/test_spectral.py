@@ -28,7 +28,6 @@ from isospec.polynomials import MONOMIAL, Polynomial, convert_basis, quasi_basis
 from isospec.representations import ShiftOperator, apply_continuum, realize_lattice
 from isospec.spectral import (
     OperatorMatrix,
-    _ladder_matrix,
     char_poly,
     continuum_matrix,
     discrete_family,
@@ -188,10 +187,10 @@ class TestMatrix:
             continuum_matrix(B, 3)  # multiplication by x raises degree
         assert err.value.degree == 3
 
-    def test_overflow_flagged_when_tolerated(self):
-        matrix = matrix_on_basis(lambda p: apply_continuum(B, p), MONOMIAL, 3,
-                                 require_closure=False)
-        assert matrix.overflow_degrees == (3,)
+    def test_overflow_raises_in_the_reference_builder(self):
+        with pytest.raises(SubspaceOverflowError) as err:
+            matrix_on_basis(lambda p: apply_continuum(B, p), MONOMIAL, 3)
+        assert err.value.degree == 3
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -201,6 +200,8 @@ shift_operators = st.builds(
     steps,
     st.dictionaries(st.integers(-3, 3), st.lists(small, max_size=4), max_size=4),
 )
+exponents = st.integers(0, 4)
+elements = st.dictionaries(st.tuples(exponents, exponents), small, max_size=5).map(AlgebraElement)
 # the operator's own ladder, the monomial basis, or a ladder at another step
 basis_kinds = st.sampled_from(["own", "monomial", "other"])
 
@@ -211,33 +212,57 @@ def _basis(kind, op):
     return MONOMIAL if kind == "monomial" else quasi_basis(3 * op.step)
 
 
+def matrix_or_overflow(build, *args, **kwargs):
+    """The matrix ``build`` returns, or the degree of the SubspaceOverflowError
+    it raises: one value to compare a builder with its reference."""
+    try:
+        return build(*args, **kwargs)
+    except SubspaceOverflowError as exc:
+        assert isinstance(exc.degree, int)
+        return exc.degree
+
+
+def assert_subspace_report_matches(report, reference):
+    """``reference`` is a matrix, or the degree at which it overflowed."""
+    if isinstance(reference, OperatorMatrix):
+        assert report.closed and report.offending_degree is None
+        assert report.block == reference
+        assert report.block_char_poly == char_poly(reference)
+    else:
+        assert not report.closed and report.block is None
+        assert report.offending_degree == reference
+
+
 class TestLadderMatrixAgainstMonomialDetour:
     """Lattice matrices are built on the ladder itself; the detour through
     monomials (``matrix_on_basis`` over ``ShiftOperator.apply``) is the
-    reference they must reproduce entry for entry."""
+    reference they must reproduce entry for entry, or overflow at the same
+    degree."""
 
     @given(shift_operators, basis_kinds, st.integers(0, 7))
     def test_same_matrix_and_overflow_as_the_reference(self, op, kind, degree):
         basis = _basis(kind, op)
-        reference = matrix_on_basis(op.apply, basis, degree, require_closure=False)
-        assert _ladder_matrix(op, basis, degree, require_closure=False) == reference
-        if reference.overflow_degrees:
-            with pytest.raises(SubspaceOverflowError) as err:
-                lattice_matrix(op, degree, basis=basis)
-            assert err.value.degree == reference.overflow_degrees[0]
-        else:
-            assert lattice_matrix(op, degree, basis=basis) == reference
+        reference = matrix_or_overflow(matrix_on_basis, op.apply, basis, degree)
+        assert matrix_or_overflow(lattice_matrix, op, degree, basis=basis) == reference
 
     @given(shift_operators, st.integers(0, 7))
     def test_subspace_check_reports_the_reference_overflow(self, op, spin):
-        reference = matrix_on_basis(op.apply, quasi_basis(op.step), spin,
-                                    require_closure=False)
-        report = invariant_subspace_check(op, spin)
-        assert report.closed == (not reference.overflow_degrees)
-        if report.closed:
-            assert report.block == reference
-        else:
-            assert report.offending_degree == reference.overflow_degrees[0]
+        reference = matrix_or_overflow(matrix_on_basis, op.apply, quasi_basis(op.step), spin)
+        assert_subspace_report_matches(invariant_subspace_check(op, spin), reference)
+
+    @given(elements, steps, st.integers(0, 6))
+    def test_subspace_check_of_an_element_reports_the_reference_overflow(self, element, step, spin):
+        # both realizations of one element: the continuum side against the
+        # detour over repeated differentiation, the lattice side over the
+        # realized operator's apply
+        continuum = matrix_or_overflow(
+            matrix_on_basis,
+            lambda p: Polynomial(repeated_differentiation(element.terms, p.coeffs)),
+            MONOMIAL, spin)
+        assert_subspace_report_matches(invariant_subspace_check(element, spin), continuum)
+        op = realize_lattice(element, step)
+        lattice = matrix_or_overflow(matrix_on_basis, op.apply, quasi_basis(step), spin)
+        assert_subspace_report_matches(invariant_subspace_check(element, spin, step), lattice)
 
     @given(shift_operators, basis_kinds, st.lists(small, max_size=8), small)
     def test_verify_pointwise_agrees_with_the_monomial_path(self, op, kind, coeffs, lam):
@@ -281,8 +306,6 @@ def reference_continuum_columns(element, degree):
     return [repeated_differentiation(terms, [F(0)] * j + [F(1)]) for j in range(degree + 1)]
 
 
-exponents = st.integers(0, 4)
-elements = st.dictionaries(st.tuples(exponents, exponents), small, max_size=5).map(AlgebraElement)
 # terms b^m a^n with m <= n: they never raise degree
 non_raising = st.dictionaries(
     st.tuples(exponents, exponents).filter(lambda mn: mn[0] <= mn[1]), small, max_size=3)
@@ -337,7 +360,6 @@ class TestContinuumAgainstRepeatedDifferentiation:
         if report.closed:
             padded = [col + [F(0)] * (spin + 1 - len(col)) for col in columns]
             assert report.block.entries == tuple(zip(*padded))
-            assert report.block.overflow_degrees == ()
         else:
             assert report.block is None
         return report
