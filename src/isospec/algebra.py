@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import require_int, unique_keys
+from .errors import require_int, unique_keys, wire_list, wire_object
 from .rationals import as_fraction, format_fraction
 
 __all__ = [
@@ -187,7 +187,9 @@ class AlgebraElement:
 
     @classmethod
     def from_json_obj(cls, obj) -> "AlgebraElement":
-        return cls(unique_keys((((t["m"], t["n"]), t["coeff"]) for t in obj), "term"))
+        terms = (wire_object(t, ("m", "n", "coeff"), "term")
+                 for t in wire_list(obj, "algebra element"))
+        return cls(unique_keys((((t["m"], t["n"]), t["coeff"]) for t in terms), "term"))
 
 
 def _raw(terms: dict) -> AlgebraElement:

@@ -78,6 +78,19 @@ def wire_list(value, what: str) -> list:
     return value
 
 
+def wire_object(value, keys, what: str, optional=()) -> dict:
+    """``value`` if it is a dict (a JSON object) with every one of ``keys``
+    and nothing beyond them and ``optional``; anything else raises ValueError
+    that names the missing or unexpected keys, or the wrong shape."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object with keys {list(keys)}, got {value!r}")
+    missing = [key for key in keys if key not in value]
+    unexpected = [key for key in value if key not in keys and key not in optional]
+    if missing or unexpected:
+        raise ValueError(f"{what}: missing keys {missing}, unexpected keys {unexpected}")
+    return value
+
+
 def canonical_name(name: str) -> str:
     """Lookup key of a user-supplied name: surrounding blanks are ignored,
     case does not matter, and ``_`` reads as ``-``."""

@@ -17,10 +17,11 @@ Values are immutable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatchError, require_int, wire_list
+from .errors import BasisMismatchError, require_int, wire_list, wire_object
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -86,6 +87,8 @@ class Polynomial:
     def __init__(self, coeffs=(), basis: Basis = MONOMIAL):
         if not isinstance(basis, Basis):
             raise TypeError("basis must be a Basis")
+        if isinstance(coeffs, (str, bytes, bytearray, Mapping, Set)):
+            raise TypeError(f"coefficients must be a sequence, got {coeffs!r}")
         vec = [as_fraction(c) for c in coeffs]
         while vec and vec[-1] == 0:
             vec.pop()
@@ -302,6 +305,7 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
+        obj = wire_object(obj, ("basis", "coeffs"), "polynomial")
         return cls(wire_list(obj["coeffs"], "coeffs"), Basis.from_json_obj(obj["basis"]))
 
 

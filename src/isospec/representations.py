@@ -21,8 +21,9 @@ from fractions import Fraction
 from math import perm
 
 from .algebra import AlgebraElement
-from .errors import BasisMismatchError, StepMismatchError, require_int, unique_keys, wire_list
-from .polynomials import Basis, Polynomial
+from .errors import (BasisMismatchError, StepMismatchError, require_int, unique_keys, wire_list,
+                     wire_object)
+from .polynomials import Basis, Polynomial, convert_basis
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ShiftOperator:
@@ -194,17 +194,15 @@ class ShiftOperator:
         falling-factorial ladder of any step ``s``; the monomial basis is the
         ladder with ``s = 0``.
 
-        Each term ``p_k(x) * T^k`` acts by two identities:
-
-        * the binomial theorem for falling factorials,
-          ``T^k x^(j) = sum_i C(j, i) * h^(j-i) * x^(i)`` with ``h = k*step``
-          and ``h^(m) = h(h - s)...(h - (m-1)s)``;
-        * ``x * x^(i) = x^(i+1) + i*s * x^(i)``, which gives
-          ``p_k(x) * x^(i)`` by Horner over the monomial coefficients of
-          ``p_k``: a band of ``deg p_k + 1`` rungs.
-
-        A vector with ``n`` entries costs O(n^2) per term, and a unit vector
-        O(n).
+        Each coefficient ``p_k`` is put on the ladder by :func:`convert_basis`,
+        and each rung ``c * x^(r)`` acts with ``T^k`` by one identity,
+        ``x^(r) * T^k x^(j) = sum_i C(j, i) * h^(j-i) * x^(r+i)`` with
+        ``h = k*step + r*s`` and ``h^(m) = h(h - s)...(h - (m-1)s)``: for
+        ``y = x - r*s``, ``(x + k*step)^(j) = (y + h)^(j)`` expands by the
+        binomial theorem for falling factorials, and ``x^(r) * y^(i) = x^(r+i)``.
+        ``h^(m)`` stops at its first zero factor, so over ``n`` entries in all
+        (``d + 1`` unit vectors for a matrix) a rung costs O(n*w) when
+        ``h = (w - 1)*s`` makes it a band ``w`` wide, and O(n^2) otherwise.
 
         Only the step and the terms are read: the algebra is never consulted,
         so lattice matrices stay an independent check of ``realize_lattice``.
@@ -212,42 +210,27 @@ class ShiftOperator:
         s = _ZERO if basis.is_monomial else basis.step
         top = max((len(v) for v in vectors), default=0)
         reach = max((p.degree for p in self._terms.values()), default=0)
-        rungs = [i * s for i in range(top + reach)]
         images = [[_ZERO] * (len(v) + reach) for v in vectors]
         for k, pk in self._terms.items():
-            h = k * self.step
-            # h^(m) for m < top; once a factor vanishes every later one does
-            falling = [_ONE]
-            while len(falling) < top:
-                nxt = falling[-1] * (h - (len(falling) - 1) * s)
-                if not nxt:
-                    break
-                falling.append(nxt)
-            # p_k(x) * x^(i) = sum_t band[i][t] * x^(i+t), by Horner on x^(i)
-            *lower, lead = pk.coeffs
-            band = []
-            for i in range(top):
-                acc = [lead]
-                for c in reversed(lower):
-                    nxt = [_ZERO] + acc
-                    for t, a in enumerate(acc):
-                        nxt[t] += rungs[i + t] * a
-                    nxt[0] += c
-                    acc = nxt
-                band.append([(t, b) for t, b in enumerate(acc) if b])
-            for v, image in zip(vectors, images):
-                shifted = [_ZERO] * len(v)
-                for j, vj in enumerate(v):
-                    if not vj:
-                        continue
-                    binom = 1  # C(j, m)
-                    for m in range(min(j + 1, len(falling))):
-                        shifted[j - m] += vj * binom * falling[m]
-                        binom = binom * (j - m) // (m + 1)
-                for i, w in enumerate(shifted):
-                    if w:
-                        for t, b in band[i]:
-                            image[i + t] += w * b
+            for r, c in enumerate(convert_basis(pk, basis).coeffs):
+                if not c:
+                    continue
+                h = k * self.step + r * s
+                # c * h^(m) for m < top; once a factor vanishes every later one does
+                falling = [c]
+                while len(falling) < top:
+                    nxt = falling[-1] * (h - (len(falling) - 1) * s)
+                    if not nxt:
+                        break
+                    falling.append(nxt)
+                for v, image in zip(vectors, images):
+                    for j, vj in enumerate(v):
+                        if not vj:
+                            continue
+                        binom = 1  # C(j, m)
+                        for m in range(min(j + 1, len(falling))):
+                            image[r + j - m] += vj * binom * falling[m]
+                            binom = binom * (j - m) // (m + 1)
         return images
 
     # -- housekeeping -------------------------------------------------------
@@ -280,11 +263,12 @@ class ShiftOperator:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ShiftOperator":
-        return cls(
-            obj["delta"],
-            unique_keys(((t["shift"], Polynomial(wire_list(t["coeffs"], "coeffs")))
-                         for t in obj["terms"]), "shift"),
-        )
+        # "points" is the stencil list that `discretize` writes beside the terms
+        obj = wire_object(obj, ("delta", "terms"), "shift operator", optional=("points",))
+        terms = (wire_object(t, ("shift", "coeffs"), "shift-operator term")
+                 for t in wire_list(obj["terms"], "terms"))
+        return cls(obj["delta"], unique_keys(
+            ((t["shift"], Polynomial(wire_list(t["coeffs"], "coeffs"))) for t in terms), "shift"))
 
 
 def forward_difference(step) -> ShiftOperator:

@@ -165,9 +165,9 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
     leaves the space.
 
     Every basis (monomial, the own step, another step) is handled on its own
-    ladder by the falling-factorial binomial theorem, never through
-    monomials: O(d^2) per term instead of the O(d^4) of
-    :func:`matrix_on_basis`, with the same entries.
+    ladder by one falling-factorial identity, never through monomials, with
+    the entries of :func:`matrix_on_basis`: O(d*w) per coefficient rung that
+    is a band ``w`` wide, and O(d^2) per other rung.
     """
     if basis is None:
         basis = quasi_basis(op.step)

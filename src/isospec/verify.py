@@ -216,6 +216,14 @@ def _draw_second_order(rng, generic=False) -> SecondOrderParams:
     )
 
 
+def _draw_three_point(rng, step=None, nonzero=False) -> ThreePointParams:
+    """A1..A5, then a step from STEP_SET unless ``step`` is given."""
+    a1, a2, a3, a4, a5 = (_rand_fraction(rng, nonzero=nonzero) for _ in range(5))
+    if step is None:
+        step = STEP_SET[rng.randrange(len(STEP_SET))]
+    return ThreePointParams(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, step=step)
+
+
 def _hermite_display(step: Fraction) -> ShiftOperator:
     inv2 = Fraction(1) / step**2
     inv = Fraction(1) / step
@@ -258,11 +266,7 @@ def _suite_second_order(seed: int, trials: int | None) -> SuiteResult:
 
     bad = 0
     for _ in range(n_trials):
-        params = ThreePointParams(
-            a1=_rand_fraction(rng), a2=_rand_fraction(rng), a3=_rand_fraction(rng),
-            a4=_rand_fraction(rng), a5=_rand_fraction(rng),
-            step=STEP_SET[rng.randrange(len(STEP_SET))],
-        )
+        params = _draw_three_point(rng)
         if three_point_operator(params) != three_point_stencil(params):
             bad += 1
     checks.append(CheckResult(
@@ -325,14 +329,7 @@ def _suite_stencils(seed: int, trials: int | None) -> SuiteResult:
 
     bad = 0
     for i in range(n_trials):
-        params = ThreePointParams(
-            a1=_rand_fraction(rng, nonzero=True),
-            a2=_rand_fraction(rng, nonzero=True),
-            a3=_rand_fraction(rng, nonzero=True),
-            a4=_rand_fraction(rng, nonzero=True),
-            a5=_rand_fraction(rng, nonzero=True),
-            step=STEP_SET[i % len(STEP_SET)],
-        )
+        params = _draw_three_point(rng, STEP_SET[i % len(STEP_SET)], nonzero=True)
         shifts, _ = stencil_extract(three_point_operator(params))
         if shifts != (-1, 0, 1):
             bad += 1
@@ -500,11 +497,7 @@ def _suite_qes(seed: int, trials: int | None) -> SuiteResult:
     for spin in range(1, 7):
         for i in range(n_trials):
             step = STEP_SET[(spin + i) % len(STEP_SET)]
-            params = ThreePointParams(
-                a1=_rand_fraction(rng), a2=_rand_fraction(rng),
-                a3=_rand_fraction(rng), a4=_rand_fraction(rng),
-                a5=_rand_fraction(rng), step=step,
-            )
+            params = _draw_three_point(rng, step)
             a_plus = _rand_fraction(rng, nonzero=True)
             if not _blocks_agree(qes_three_point_element(a_plus, params, spin), step, spin):
                 bad += 1

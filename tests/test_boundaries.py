@@ -123,10 +123,47 @@ def test_library_strings_follow_the_wire_form(build):
     lambda: ShiftOperator.from_json_obj({"delta": "1", "terms": [{"shift": 1, "coeffs": "12"}]}),
     lambda: Basis.from_json_obj("quasi"),
     lambda: Basis.from_json_obj({"quasi": "1", "step": "2"}),
+    lambda: ShiftOperator.from_json_obj({"delta": "1", "terms": "ab"}),
+    lambda: ShiftOperator.from_json_obj({"delta": "1", "terms": [[1, ["1"]]]}),
+    lambda: AlgebraElement.from_json_obj({"m": 1, "n": 0, "coeff": "1"}),
+    lambda: AlgebraElement.from_json_obj(["ab"]),
+    lambda: Polynomial.from_json_obj(["1"]),
 ], ids=["shift-twice", "term-twice", "coeffs-string", "shift-coeffs-string", "basis-string",
-        "basis-extra-key"])
+        "basis-extra-key", "terms-string", "shift-term-list", "element-object",
+        "element-term-string", "polynomial-list"])
 def test_wire_readers_refuse_input_they_would_misread(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("read, obj, key", [
+    (ShiftOperator.from_json_obj, {"delta": "1"}, "terms"),
+    (ShiftOperator.from_json_obj, {"delta": "1", "terms": [], "junk": 1}, "junk"),
+    (ShiftOperator.from_json_obj, {"delta": "1", "terms": [{"shift": 1}]}, "coeffs"),
+    (ShiftOperator.from_json_obj,
+     {"delta": "1", "terms": [{"shift": 1, "coeffs": ["1"], "basis": "monomial"}]}, "basis"),
+    (Polynomial.from_json_obj, {"coeffs": ["1"]}, "basis"),
+    (Polynomial.from_json_obj, {"basis": "monomial", "coeffs": ["1"], "degree": 0}, "degree"),
+    (AlgebraElement.from_json_obj, [{"m": 1, "coeff": "1"}], "n"),
+    (AlgebraElement.from_json_obj, [{"m": 1, "n": 0, "coeff": "1", "x": 2}], "x"),
+], ids=["operator-missing", "operator-extra", "term-missing", "term-extra", "polynomial-missing",
+        "polynomial-extra", "element-missing", "element-extra"])
+def test_wire_readers_name_a_missing_or_unexpected_key(read, obj, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        read(obj)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial("12"),
+    lambda: Polynomial(b"12"),
+    lambda: Polynomial({1: 2}),
+    lambda: Polynomial({1, 2}),
+    lambda: Polynomial(frozenset({2})),
+    lambda: ShiftOperator(1, {0: "12"}),
+    lambda: ShiftOperator(1, {0: {1: 2}}),
+], ids=["str", "bytes", "mapping", "set", "frozenset", "shift-str", "shift-mapping"])
+def test_coefficients_are_not_read_from_text_mappings_or_sets(build):
+    with pytest.raises(TypeError):
         build()
 
 

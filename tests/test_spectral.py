@@ -245,6 +245,19 @@ class TestLadderMatrixAgainstMonomialDetour:
         reference = matrix_or_overflow(matrix_on_basis, op.apply, basis, degree)
         assert matrix_or_overflow(lattice_matrix, op, degree, basis=basis) == reference
 
+    @given(elements, steps, st.integers(0, 24))
+    def test_realized_element_has_the_continuum_matrix(self, element, step, degree):
+        # the paper's transport coefficient for coefficient: on its own
+        # ladder the realization has the continuum matrix, or overflows at
+        # the same degree; its rungs are bands, here far above degree 7
+        lattice = matrix_or_overflow(lattice_matrix, realize_lattice(element, step), degree)
+        continuum = matrix_or_overflow(continuum_matrix, element, degree)
+        if isinstance(continuum, OperatorMatrix):
+            assert isinstance(lattice, OperatorMatrix)
+            assert lattice.entries == continuum.entries
+        else:
+            assert lattice == continuum
+
     @given(shift_operators, st.integers(0, 7))
     def test_subspace_check_reports_the_reference_overflow(self, op, spin):
         reference = matrix_or_overflow(matrix_on_basis, op.apply, quasi_basis(op.step), spin)
