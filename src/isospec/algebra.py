@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import require_int, unique_keys, wire_list, wire_object
+from .errors import mapping_items, require_int, unique_keys, wire_list, wire_object
 from .rationals import as_fraction, format_fraction
 
 __all__ = [
@@ -45,7 +45,10 @@ class AlgebraElement:
     def __init__(self, terms=None):
         clean: dict[tuple[int, int], Fraction] = {}
         if terms:
-            for (m, n), coeff in terms.items():
+            for key, coeff in mapping_items(terms, "terms", "(m, n) -> coefficient"):
+                if not isinstance(key, tuple) or len(key) != 2:
+                    raise ValueError(f"term key must be a pair (m, n), got {key!r}")
+                m, n = key
                 require_int(m, "exponent of b")
                 require_int(n, "exponent of a")
                 c = as_fraction(coeff)

@@ -7,6 +7,8 @@ them so that each rule is written once.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 __all__ = [
     "IsospecError",
     "BasisMismatchError",
@@ -68,6 +70,14 @@ def unique_keys(pairs, what: str) -> dict:
             raise ValueError(f"{what} {key!r} appears more than once")
         out[key] = value
     return out
+
+
+def mapping_items(value, name: str, shape: str):
+    """``value.items()`` if ``value`` is a mapping; anything else, a list of
+    pairs above all, raises TypeError naming the mapping ``shape`` expected."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{name} must be a mapping {shape}, got {type(value).__name__} {value!r}")
+    return value.items()
 
 
 def wire_list(value, what: str) -> list:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import perm
 
 from .algebra import AlgebraElement
-from .errors import (BasisMismatchError, StepMismatchError, require_int, unique_keys, wire_list,
-                     wire_object)
+from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_int, unique_keys,
+                     wire_list, wire_object)
 from .polynomials import Basis, Polynomial, convert_basis
 from .rationals import as_fraction, format_fraction, nonzero_step
 
@@ -52,7 +52,7 @@ class ShiftOperator:
         step_value = nonzero_step(step)
         clean: dict[int, Polynomial] = {}
         if terms:
-            for shift, coeff in terms.items():
+            for shift, coeff in mapping_items(terms, "terms", "shift -> coefficients"):
                 # require_int's rule, inlined on this hot path (any sign is fine)
                 if type(shift) is not int:
                     raise ValueError(f"shift must be an integer, got {shift!r}")

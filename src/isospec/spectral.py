@@ -14,17 +14,24 @@ space; that is the only overflow signal.  The unexported
 :func:`matrix_on_basis` (through monomials) is the tests' reference.
 
 Equality of spectra is certified by comparing monic characteristic
-polynomials coefficient by coefficient; no roots are ever extracted.  A
-triangular matrix gets the product of ``(lambda - d_i)`` over its diagonal;
-any other (a QES block) gets Hessenberg reduction and the Hessenberg
-recurrence (Cohen, *A Course in Computational Algebraic Number Theory*,
-Alg. 2.2.9), O(n^3) operations.
+polynomials coefficient by coefficient; no roots are ever extracted.
+:func:`char_poly` works on the integer matrix ``L*M`` (``L`` the LCM of the
+denominators) and touches Fractions only to divide the result back.  A
+Hessenberg matrix (triangular ones and the three-point QES blocks included)
+gets the division-free Hessenberg recurrence (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9) over Z; any other (a
+quadratic QES block) gets Hessenberg reduction and the same recurrence
+modulo 62-bit primes, as many as a Hadamard bound fixes in advance, joined
+by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 
 from .algebra import AlgebraElement
 from .errors import (
@@ -70,11 +77,21 @@ class OperatorMatrix:
     """Square matrix of an operator on a graded basis.
 
     ``entries[i][j]`` is the coefficient of the degree-i basis element in the
-    image of the degree-j one.
+    image of the degree-j one.  The rows must be as long as there are rows
+    (ValueError) and every entry a Fraction (TypeError).
     """
 
     basis: Basis
     entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        size = len(self.entries)
+        for row in self.entries:
+            if len(row) != size:
+                raise ValueError(f"matrix rows must have length {size}, got {len(row)}")
+            if {*map(type, row)} - {Fraction}:
+                bad = next(c for c in row if type(c) is not Fraction)
+                raise TypeError(f"matrix entries must be Fractions, got {bad!r}")
 
     @property
     def size(self) -> int:
@@ -179,25 +196,77 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
 def char_poly(matrix: OperatorMatrix) -> Polynomial:
     """Monic characteristic polynomial det(lambda*I - M), exact.
 
-    Triangular matrices take the fast path, the product of (lambda - d_i)
-    over the diagonal.  Any other matrix is brought to upper Hessenberg form
-    by Gaussian similarity transforms and the polynomial is read off by the
-    Hessenberg recurrence (Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 2.2.9): O(n^3) rational operations, and fewer on banded
-    matrices such as the QES blocks, which are already nearly Hessenberg.
+    No Fraction arithmetic until the last step: with ``L`` the LCM of the
+    denominators, the coefficient of ``lambda^i`` is that of the integer
+    matrix ``A = L*M`` divided by ``L^(n-i)``.  A Hessenberg ``A``
+    (triangular included; a lower one is transposed) goes through the
+    division-free Hessenberg recurrence (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.2.9) over Z.  Any other is reduced to
+    Hessenberg form and run through the recurrence modulo 62-bit primes,
+    joined by the Chinese remainder theorem with a symmetric lift (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  ``A`` is
+    integral, so its polynomial mod p is that of ``A mod p`` whatever pivots
+    the reduction meets: no prime is bad.
+
+    The primes are fixed in advance: their product exceeds twice the bound
+    ``|c_k| <= C(n,k) * prod(k largest ceil(|row|_2))`` on the coefficient
+    ``c_k`` of ``lambda^(n-k)``.  Proof: ``c_k`` is, up to sign, the sum of
+    the C(n,k) principal k-minors, and by Hadamard's inequality each is at
+    most the product of its rows' norms, each at most its whole row's norm.
     """
-    if matrix.is_upper_triangular or matrix.is_lower_triangular:
-        # multiply by (lambda - d) in place, lowest degree first
-        out = [_ONE]
-        for d in matrix.diagonal:
-            out.insert(0, _ZERO)
-            if d:
-                for i in range(len(out) - 1):
-                    out[i] -= d * out[i + 1]
-        return Polynomial(out)
     n = matrix.size
-    h = [list(row) for row in matrix.entries]
-    # reduction: clear column m-1 below row m, pivoting on row m
+    denominators = {x.denominator for row in matrix.entries for x in row}
+    lcm = math.lcm(*denominators)
+    factor = {d: lcm // d for d in denominators}
+    a = [[x.numerator * factor[x.denominator] for x in row] for row in matrix.entries]
+    if not any(any(a[i][i + 2:]) for i in range(n)):  # lower Hessenberg
+        coeffs = _hessenberg_char_poly([list(column) for column in zip(*a)])
+    elif any(any(a[i][:i - 1]) for i in range(2, n)):
+        coeffs = _multimodular_char_poly(a)
+    else:
+        coeffs = _hessenberg_char_poly(a)
+    return Polynomial([Fraction(c, lcm ** (n - i)) for i, c in enumerate(coeffs)])
+
+
+def _hessenberg_char_poly(h: list[list[int]], modulus: int = 0) -> list[int]:
+    """Coefficients, lowest degree first, of det(lambda*I - H) for an upper
+    Hessenberg integer matrix H, by the division-free Hessenberg recurrence:
+    over Z when ``modulus`` is 0, else reduced modulo it."""
+    # p_{k+1} = (lambda - h[k][k]) p_k - sum_{i<k} h[i][k] (prod_{j=i+1..k} h[j][j-1]) p_i
+    # (0-based), the sum in Horner form, acc <- (acc + h[i][k] p_i) h[i+1][i], from
+    # the first nonzero h[i][k] after the last zero subdiagonal entry: each
+    # product is of a matrix entry and a coefficient, never of two long
+    # products, and a band above the diagonal costs only its width
+    polys = [[1]]
+    start = 0
+    for k in range(len(h)):
+        if k and not h[k][k - 1]:
+            start = k
+            polys[:k] = [None] * k  # no later step reaches back past it
+        first = next((i for i in range(start, k) if h[i][k]), k)
+        acc = [0] * first
+        for i in range(first, k):
+            a, s = h[i][k], h[i + 1][i]
+            acc.append(0)
+            if modulus:
+                acc = [(x + a * y) * s % modulus for x, y in zip(acc, polys[i])]
+            else:
+                acc = [(x + a * y) * s for x, y in zip(acc, polys[i])]
+        prev, diag = polys[k], h[k][k]
+        p = [x - diag * y - z for x, y, z in zip([0] + prev, prev + [0], acc + [0, 0])]
+        if modulus:
+            p = [x % modulus for x in p]
+        polys.append(p)
+    return polys[-1]
+
+
+def _hessenberg_mod(a: list[list[int]], p: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to ``a`` mod the prime ``p``, by
+    Gaussian similarity transforms: column m-1 is cleared below row m with
+    row m as pivot, swapped in from below when zero, and skipped when the
+    whole column below is zero."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
         if pivot is None:
@@ -207,38 +276,89 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
         row_m = h[m]
+        inverse = pow(row_m[m - 1], -1, p)
+        end = n  # row m is zero left of column m-1 and from column end on
+        while not row_m[end - 1]:
+            end -= 1
         for i in range(m + 1, n):
             row_i = h[i]
             if not row_i[m - 1]:
                 continue
-            u = row_i[m - 1] / row_m[m - 1]
-            for j in range(m - 1, n):  # row m is zero left of column m-1
-                if row_m[j]:
-                    row_i[j] -= u * row_m[j]
-            for row in h:
-                if row[i]:
-                    row[m] += u * row[i]
-    # p_k = (lambda - h_kk) p_{k-1} - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_{i-1}
-    # (1-based indices), as coefficient lists, lowest degree first
-    polys = [[_ONE]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        diag = h[k - 1][k - 1]
-        p = [_ZERO] + prev
-        if diag:
-            for idx, c in enumerate(prev):
-                p[idx] -= diag * c
-        t = _ONE
-        for i in range(k - 1, 0, -1):
-            t *= h[i][i - 1]
-            if not t:
+            u = row_i[m - 1] * inverse % p
+            row_i[m - 1:end] = [(x - u * y) % p for x, y in zip(row_i[m - 1:end], row_m[m - 1:end])]
+            for row in compress(h, map(itemgetter(i), h)):  # rows nonzero in column i
+                row[m] = (row[m] + u * row[i]) % p
+    return h
+
+
+def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
+    """Coefficients, lowest degree first, of det(lambda*I - A) for an integer
+    matrix A, from its polynomials modulo enough primes joined by the Chinese
+    remainder theorem; see :func:`char_poly` for the prime count."""
+    need = 2 * _coefficient_bound(a)
+    residues = [0] * (len(a) + 1)
+    modulus = 1
+    count = 0
+    while modulus <= need:
+        p = _prime(count)
+        count += 1
+        image = _hessenberg_char_poly(_hessenberg_mod(a, p), p)
+        # x' = x + modulus * ((y - x) / modulus mod p): x' = x mod modulus, y mod p
+        inverse = pow(modulus, -1, p)
+        residues = [x + modulus * ((y - x) * inverse % p) for x, y in zip(residues, image)]
+        modulus *= p
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in residues]
+
+
+def _coefficient_bound(a: list[list[int]]) -> int:
+    """The largest over k of ``C(n,k) * prod(k largest ceil(|row|_2))``, a
+    bound on every coefficient of det(lambda*I - A); see :func:`char_poly`."""
+    n = len(a)
+    squares = (sum(x * x for x in row) for row in a)
+    norms = sorted((math.isqrt(s - 1) + 1 if s else 0 for s in squares), reverse=True)
+    bound = product = 1
+    for k, norm in enumerate(norms, 1):
+        product *= norm
+        bound = max(bound, math.comb(n, k) * product)
+    return bound
+
+
+# primes below 2**62, largest first, made on first use and never at import
+_PRIMES: list[int] = []
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _prime(index: int) -> int:
+    """The ``index``-th prime below 2**62 counting down."""
+    while len(_PRIMES) <= index:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**62 - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[index]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as witnesses: deterministic for
+    odd n > 37 below 3.3*10**24."""
+    if any(n % w == 0 for w in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-            c = h[i - 1][k - 1] * t
-            if c:
-                for idx, q in enumerate(polys[i - 1]):
-                    p[idx] -= c * q
-        polys.append(p)
-    return Polynomial(polys[n])
+        else:
+            return False
+    return True
 
 
 def eigenpairs_triangular(matrix: OperatorMatrix) -> list[tuple[Fraction, Polynomial]]:

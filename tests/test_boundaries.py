@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from isospec.errors import ParameterError
 from isospec.operators import (QesQuadraticForm, SecondOrderParams, classical_preset,
                                discrete_preset)
 from isospec.oracles import family, reference_polynomial
-from isospec.polynomials import Basis, Polynomial, quasi_monomial
+from isospec.polynomials import MONOMIAL, Basis, Polynomial, quasi_monomial
 from isospec.rationals import as_fraction, format_fraction, parse_fraction
 from isospec.representations import ShiftOperator, fock_vector
-from isospec.spectral import continuum_matrix, discrete_family, invariant_subspace_check
+from isospec.spectral import (OperatorMatrix, continuum_matrix, discrete_family,
+                              invariant_subspace_check)
 from isospec.verify import run, run_suite
 
 
@@ -165,6 +167,39 @@ def test_wire_readers_name_a_missing_or_unexpected_key(read, obj, key):
 def test_coefficients_are_not_read_from_text_mappings_or_sets(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ShiftOperator(1, [[1, 2]]),
+    lambda: AlgebraElement([((1, 0), 1)]),
+    lambda: AlgebraElement(((1, 0), 1)),
+], ids=["shift-pairs", "element-pairs", "element-tuple"])
+def test_term_maps_must_be_mappings(build):
+    with pytest.raises(TypeError, match="mapping"):
+        build()
+
+
+@pytest.mark.parametrize("key", [(1, 0, 2), (1,), (), 5], ids=["triple", "single", "empty", "int"])
+def test_element_keys_must_be_pairs(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        AlgebraElement({key: 1})
+
+
+@pytest.mark.parametrize("entries", [
+    ((Fraction(1), Fraction(2)),),
+    ((Fraction(1),), (Fraction(2),)),
+    ((Fraction(1), Fraction(0)), (Fraction(0),)),
+    ((),),
+], ids=["one-by-two", "two-by-one", "ragged", "empty-row"])
+def test_matrix_rows_must_be_square(entries):
+    with pytest.raises(ValueError):
+        OperatorMatrix(MONOMIAL, entries)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 1, "1"], ids=["bool", "float", "int", "str"])
+def test_matrix_entries_must_be_fractions(bad):
+    with pytest.raises(TypeError):
+        OperatorMatrix(MONOMIAL, ((Fraction(0), Fraction(0)), (Fraction(0), bad)))
 
 
 def test_digit_cap_admits_the_longest_integer_python_prints():

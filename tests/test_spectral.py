@@ -1,5 +1,6 @@
 """Matrices, characteristic polynomials, certificates, families."""
 
+import math
 import random
 from fractions import Fraction as F
 from math import perm
@@ -41,6 +42,7 @@ from isospec.spectral import (
     substitute_quasi,
     verify_pointwise,
 )
+from isospec.spectral import _coefficient_bound
 
 STEPS = (F(1), F(-1), F(1, 2), F(3, 7))
 
@@ -128,17 +130,72 @@ def reference_char_poly(rows):
     return coeffs
 
 
-CHAR_POLY_SHAPES = ("dense", "sparse", "banded", "upper", "lower", "swap", "no-pivot")
+def fraction_hessenberg_char_poly(rows):
+    """Low-to-high coefficients of det(lambda*I - M) by Hessenberg reduction
+    over the rationals (Gaussian similarity transforms, pivoting on row m and
+    swapping a nonzero pivot in from below) and the Hessenberg recurrence
+    (Cohen, Alg. 2.2.9): every operation on Fractions.  It is the library's
+    former kernel, kept as the reference for the QES blocks."""
+    n = len(rows)
+    h = [list(row) for row in rows]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            u = h[i][m - 1] / h[m][m - 1]
+            for j in range(m - 1, n):
+                h[i][j] -= u * h[m][j]
+            for row in h:
+                row[m] += u * row[i]
+    polys = [[F(1)]]
+    for k in range(1, n + 1):
+        p = [F(0)] + polys[k - 1]
+        for idx, c in enumerate(polys[k - 1]):
+            p[idx] -= h[k - 1][k - 1] * c
+        t = F(1)
+        for i in range(k - 1, 0, -1):
+            t *= h[i][i - 1]
+            for idx, q in enumerate(polys[i - 1]):
+                p[idx] -= h[i - 1][k - 1] * t * q
+        polys.append(p)
+    return polys[n]
+
+
+def integer_matrix(rows):
+    """``rows`` times the LCM of their denominators, as integer Fractions."""
+    lcm = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[c * lcm for c in row] for row in rows]
+
+
+def sylvester_hadamard(n):
+    """The n x n Sylvester Hadamard matrix (n a power of 2), as integers."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-c for c in row] for row in h]
+    return h
+
+
+CHAR_POLY_SHAPES = ("dense", "sparse", "banded", "upper", "lower", "hessenberg", "swap",
+                    "no-pivot")
 _entries = st.sampled_from(sorted({F(p, q) for p in range(-9, 10) for q in range(1, 7)}))
 _sparse_entries = st.one_of(st.just(F(0)), _entries)
 
 
 @st.composite
 def shaped_matrices(draw, shape):
-    """Square matrices of size 0..10 of one shape.  "swap" zeroes entry (1, 0)
-    under a nonzero (2, 0), so the first Hessenberg pivot needs a row and
-    column swap; "no-pivot" is block upper triangular (reducible), so the
-    reduction meets a column with nothing to pivot on at the cut."""
+    """Square matrices of size 0..10 of one shape.  "hessenberg" is upper
+    Hessenberg with a nonzero subdiagonal entry (so not upper triangular), or
+    its transpose; "swap" zeroes entry (1, 0) under a nonzero (2, 0), so the
+    first Hessenberg pivot needs a row and column swap; "no-pivot" is block
+    upper triangular (reducible), so the reduction meets a column with
+    nothing to pivot on at the cut."""
     n = draw(st.integers(0, 10))
     entry = _sparse_entries if shape == "sparse" else _entries
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
@@ -149,6 +206,8 @@ def shaped_matrices(draw, shape):
         lower = 0
     elif shape == "lower":
         upper = 0
+    elif shape == "hessenberg":
+        lower = 1
     for i in range(n):
         for j in range(n):
             if not -lower <= j - i <= upper:
@@ -156,6 +215,11 @@ def shaped_matrices(draw, shape):
     if shape == "swap" and n >= 3:
         rows[1][0] = F(0)
         rows[2][0] = draw(_entries.filter(bool))
+    if shape == "hessenberg" and n >= 2:
+        i = draw(st.integers(1, n - 1))
+        rows[i][i - 1] = draw(_entries.filter(bool))
+        if draw(st.booleans()):
+            rows = [list(column) for column in zip(*rows)]
     if shape == "no-pivot" and n:
         cut = draw(st.integers(0, n - 1))
         for i in range(cut + 1, n):
@@ -463,6 +527,56 @@ class TestCharPoly:
                 assert not block.is_upper_triangular and not block.is_lower_triangular
                 expected = reference_char_poly([list(row) for row in block.entries])
                 assert list(report.block_char_poly.coeffs) == expected
+
+
+    def test_qes_blocks_at_spin_30_agree_with_fraction_hessenberg(self):
+        rng = random.Random(30)
+        step = F(-5, 3)
+        form = QesQuadraticForm(30, *(rand_fraction(rng, nonzero=True) for _ in range(10)))
+        params = ThreePointParams(*(rand_fraction(rng) for _ in range(5)), step=step)
+        # lower bandwidth 2 (multimodular) and 1 (the recurrence over Z)
+        for element in (qes_quadratic_element(form),
+                        qes_three_point_element(rand_fraction(rng, nonzero=True), params, 30)):
+            for report in (invariant_subspace_check(element, 30),
+                           invariant_subspace_check(element, 30, step)):
+                block = [list(row) for row in report.block.entries]
+                assert list(report.block_char_poly.coeffs) == fraction_hessenberg_char_poly(block)
+
+    @pytest.mark.parametrize("size", [5, 6, 7, 8])
+    def test_large_entries_need_many_primes(self, size):
+        # numerators of 35 to 40 digits: the bound asks for ten primes or more
+        rng = random.Random(size)
+        rows = [[F(rng.randint(-10**40, 10**40) // 10**rng.randint(0, 5), rng.randint(1, 9))
+                 for _ in range(size)] for _ in range(size)]
+        ints = [[int(c) for c in row] for row in integer_matrix(rows)]
+        assert 2 * _coefficient_bound(ints) >= 2 ** (62 * 9)
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
+        assert list(char_poly(matrix).coeffs) == reference_char_poly(rows)
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_hadamard_matrices_meet_the_bound(self, size):
+        # (s/q)*H has eigenvalues +-sqrt(size)*s/q, each size/2 times; the
+        # integer matrix s*H has |det| equal to the bound at size 4 and within
+        # a factor 1 + 10^-44 of it otherwise, so on the multimodular path
+        # (sizes 4 and 8) one prime fewer than the bound asks for lifts the
+        # determinant wrongly
+        s, q = 10**45 + 7, 7
+        hadamard = sylvester_hadamard(size)
+        scaled = [[s * c for c in row] for row in hadamard]
+        if size == 4:
+            assert s**4 * 16 == _coefficient_bound(scaled)
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(F(c, q) for c in row) for row in scaled))
+        expected = Polynomial.constant(1)
+        for _ in range(size // 2):
+            expected = expected * Polynomial((-size * F(s, q) ** 2, 0, 1))
+        assert char_poly(matrix) == expected
+
+    @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
+    @given(st.data())
+    def test_bound_dominates_every_coefficient(self, shape, data):
+        ints = integer_matrix(data.draw(shaped_matrices(shape)))
+        bound = _coefficient_bound([[int(c) for c in row] for row in ints])
+        assert all(abs(c) <= bound for c in reference_char_poly(ints))
 
 
 class TestEigenpairs:
