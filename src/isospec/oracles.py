@@ -1,10 +1,12 @@
 """Independent reference generators for classical polynomial families.
 
-These exist purely as cross-checks for the operator machinery and are never
-used to construct it: the continuum families (hermite, laguerre, legendre,
+They never build operators: the verify suites check operator eigenvectors
+against them, and family tables take their rows from them once the matching
+eigenvector agrees.  The continuum families (hermite, laguerre, legendre,
 jacobi) come from their three-term recurrences, the lattice families (hahn,
 meixner, charlier) from terminating hypergeometric sums, all over exact
-rationals.
+rationals.  Each family's members of degree 0..k come from one run: one
+recurrence, or one set of Pochhammer polynomials (-x)_j shared by every sum.
 
 Normalization conventions differ between handbooks, so comparisons are
 projective: equal up to one nonzero rational factor.  Where the matching
@@ -113,17 +115,15 @@ def _check_degree(spec: FamilySpec, k: int):
         )
 
 
-def _by_recurrence(k: int, p0: Polynomial, p1: Polynomial, step_fn) -> Polynomial:
-    """Run p_{n+1} = step_fn(n, p_n, p_{n-1}) up to degree k."""
-    if k == 0:
-        return p0
-    prev, cur = p0, p1
+def _by_recurrence(k: int, p0: Polynomial, p1: Polynomial, step_fn) -> list[Polynomial]:
+    """p_0..p_k from one run of p_{n+1} = step_fn(n, p_n, p_{n-1})."""
+    members = [p0, p1]
     for n in range(1, k):
-        prev, cur = cur, step_fn(n, cur, prev)
-    return cur
+        members.append(step_fn(n, members[-1], members[-2]))
+    return members[:k + 1]
 
 
-def _hermite(spec: FamilySpec, k: int) -> Polynomial:
+def _hermite(spec: FamilySpec, k: int) -> list[Polynomial]:
     x = Polynomial.identity()
     return _by_recurrence(
         k,
@@ -133,7 +133,7 @@ def _hermite(spec: FamilySpec, k: int) -> Polynomial:
     )
 
 
-def _laguerre(spec: FamilySpec, k: int) -> Polynomial:
+def _laguerre(spec: FamilySpec, k: int) -> list[Polynomial]:
     alpha = spec.param("alpha")
     x = Polynomial.identity()
     return _by_recurrence(
@@ -145,7 +145,7 @@ def _laguerre(spec: FamilySpec, k: int) -> Polynomial:
     )
 
 
-def _legendre(spec: FamilySpec, k: int) -> Polynomial:
+def _legendre(spec: FamilySpec, k: int) -> list[Polynomial]:
     x = Polynomial.identity()
     return _by_recurrence(
         k,
@@ -155,7 +155,7 @@ def _legendre(spec: FamilySpec, k: int) -> Polynomial:
     )
 
 
-def _jacobi(spec: FamilySpec, k: int) -> Polynomial:
+def _jacobi(spec: FamilySpec, k: int) -> list[Polynomial]:
     alpha, beta = spec.param("alpha"), spec.param("beta")
     x = Polynomial.identity()
     p1 = Fraction(1, 2) * ((alpha + beta + 2) * x + Polynomial.constant(alpha - beta))
@@ -170,23 +170,16 @@ def _jacobi(spec: FamilySpec, k: int) -> Polynomial:
     return _by_recurrence(k, Polynomial.constant(1), p1, step)
 
 
-def _neg_x_pochhammer(j: int) -> Polynomial:
-    """(-x)_j = (-x)(-x+1)...(-x+j-1) as a polynomial in x."""
-    out = Polynomial.constant(1)
-    for i in range(j):
-        out = out * Polynomial((i, -1))
-    return out
-
-
-def _hypergeometric_sum(k: int, tops: list[Fraction], bottoms: list[Fraction],
-                        z: Fraction) -> Polynomial:
-    """sum_j [prod (tops)_j] (-x)_j z^j / [prod (bottoms)_j j!], terminating
-    at j = k because (-k)_j vanishes beyond; tops excludes the (-x) slot."""
-    acc = Polynomial.constant(1)
-    coeff = _ONE
+def _hypergeometric_sums(k: int, tops, bottoms: list[Fraction],
+                         z: Fraction) -> list[Polynomial]:
+    """p_0..p_k with p_n = sum_j [prod (tops(n))_j] (-x)_j z^j / [prod (bottoms)_j j!],
+    terminating at j = n because tops(n) starts with -n; the (-x) slot is
+    not in tops.  The polynomials (-x)_j and the n-free weights
+    z^j / [prod (bottoms)_j j!] are built once for all members."""
+    neg_x_pochhammer = [Polynomial.constant(1)]
+    weights = [_ONE]
     for j in range(1, k + 1):
-        for t in tops:
-            coeff *= t + (j - 1)
+        weight = weights[-1] * z / j
         for bq in bottoms:
             denom = bq + (j - 1)
             if denom == 0:
@@ -194,34 +187,43 @@ def _hypergeometric_sum(k: int, tops: list[Fraction], bottoms: list[Fraction],
                     f"hypergeometric bottom parameter {format_fraction(bq)} "
                     f"degenerates at term {j}"
                 )
-            coeff /= denom
-        coeff *= z
-        coeff /= j
-        acc = acc + coeff * _neg_x_pochhammer(j)
-    return acc
+            weight /= denom
+        weights.append(weight)
+        neg_x_pochhammer.append(neg_x_pochhammer[-1] * Polynomial((j - 1, -1)))
+    members = []
+    for n in range(k + 1):
+        acc = neg_x_pochhammer[0]
+        rising = _ONE
+        tops_n = tops(n)
+        for j in range(1, n + 1):
+            for t in tops_n:
+                rising *= t + (j - 1)
+            acc = acc + (rising * weights[j]) * neg_x_pochhammer[j]
+        members.append(acc)
+    return members
 
 
-def _hahn(spec: FamilySpec, k: int) -> Polynomial:
+def _hahn(spec: FamilySpec, k: int) -> list[Polynomial]:
     alpha, beta = spec.param("alpha"), spec.param("beta")
     size = int(spec.param("size"))
-    return _hypergeometric_sum(
+    return _hypergeometric_sums(
         k,
-        tops=[Fraction(-k), k + alpha + beta + 1],
+        tops=lambda n: (Fraction(-n), n + alpha + beta + 1),
         bottoms=[beta + 1, Fraction(1 - size)],
         z=_ONE,
     )
 
 
-def _meixner(spec: FamilySpec, k: int) -> Polynomial:
+def _meixner(spec: FamilySpec, k: int) -> list[Polynomial]:
     gamma, mu = spec.param("gamma"), spec.param("mu")
-    return _hypergeometric_sum(
-        k, tops=[Fraction(-k)], bottoms=[gamma], z=_ONE - _ONE / mu
+    return _hypergeometric_sums(
+        k, tops=lambda n: (Fraction(-n),), bottoms=[gamma], z=_ONE - _ONE / mu
     )
 
 
-def _charlier(spec: FamilySpec, k: int) -> Polynomial:
+def _charlier(spec: FamilySpec, k: int) -> list[Polynomial]:
     mu = spec.param("mu")
-    return _hypergeometric_sum(k, tops=[Fraction(-k)], bottoms=[], z=-_ONE / mu)
+    return _hypergeometric_sums(k, tops=lambda n: (Fraction(-n),), bottoms=[], z=-_ONE / mu)
 
 
 _GENERATORS = {
@@ -237,19 +239,23 @@ _GENERATORS = {
 FAMILY_NAMES = tuple(sorted(_GENERATORS))
 
 
-def reference_polynomial(spec: FamilySpec, k: int) -> Polynomial:
-    """The degree-k member of the family, exact, in the monomial basis."""
+def _members(spec: FamilySpec, k: int) -> list[Polynomial]:
+    """The members of degree 0..k, from one run of the family's generator."""
     _check_degree(spec, k)
     return _GENERATORS[spec.name](spec, k)
 
 
+def reference_polynomial(spec: FamilySpec, k: int) -> Polynomial:
+    """The degree-k member of the family, exact, in the monomial basis: the
+    last of one run through degrees 0..k."""
+    return _members(spec, k)[k]
+
+
 def reference_in_operator_variable(spec: FamilySpec, k: int) -> Polynomial:
-    """The reference polynomial with the recorded variable map applied,
-    ready for projective comparison against operator eigenvectors."""
-    ref = reference_polynomial(spec, k)
-    if spec.variable_scale == 1:
-        return ref
-    return ref.affine(spec.variable_scale, 0)
+    """The reference polynomial with the recorded variable map x -> scale*x
+    applied, ready for projective comparison against operator eigenvectors."""
+    scale = spec.variable_scale
+    return Polynomial(c * scale**i for i, c in enumerate(reference_polynomial(spec, k).coeffs))
 
 
 def projective_equal(p: Polynomial, q: Polynomial) -> bool:

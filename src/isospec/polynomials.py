@@ -242,19 +242,6 @@ class Polynomial:
                 out[j] += amount * out[j + 1]
         return Polynomial(out)
 
-    def affine(self, scale, shift) -> "Polynomial":
-        """``p(scale*x + shift)`` by Horner over (scale*x + shift), exact."""
-        if not self.basis.is_monomial:
-            raise BasisMismatchError("affine substitution needs the monomial basis")
-        scale, shift = as_fraction(scale), as_fraction(shift)
-        if self.is_zero:
-            return self
-        arg = Polynomial((shift, scale))
-        acc = Polynomial.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * arg + Polynomial.constant(c)
-        return acc
-
     # -- housekeeping --------------------------------------------------
 
     def __eq__(self, other):

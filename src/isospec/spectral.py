@@ -566,10 +566,11 @@ class FamilyTable:
 def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
     """Lattice counterparts of a classical family up to degree ``k_max``.
 
-    The continuum eigenfunctions are solved exactly, matched projectively
-    against the reference family, rescaled to the reference normalization,
-    transported onto the quasi-monomial ladder, and each row is verified
-    against the realized lattice operator at its eigenvalue.
+    The continuum eigenpairs are solved exactly and walked beside the
+    reference family's members 0..k_max, generated in one run.  Each
+    eigenvector must match its member projectively; the row is then the
+    reference member itself, transported onto the quasi-monomial ladder and
+    verified against the realized lattice operator at its eigenvalue.
     """
     key = canonical_name(name)
     if key.startswith("discrete-"):
@@ -579,19 +580,15 @@ def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
     preset = classical_preset(key, **params)
     element = second_order_element(preset)
     lattice_op = realize_lattice(element, step)
-    report = spectral_report(continuum_matrix(element, k_max))
-    if report.eigenpairs is None:
-        raise DegenerateSpectrumError(report.warning or "no eigenpairs available")
+    pairs = eigenpairs_triangular(continuum_matrix(element, k_max))
     spec = oracles.family(key, **params)
     entries = []
-    for k, (lam, phi) in enumerate(report.eigenpairs):
-        ref = oracles.reference_polynomial(spec, k)
+    for k, ((lam, phi), ref) in enumerate(zip(pairs, oracles._members(spec, k_max), strict=True)):
         if not oracles.projective_equal(phi, ref):
             raise IsospecError(
                 f"degree-{k} eigenvector disagrees with the {key} reference family"
             )
-        scaled = ref.leading * phi  # phi is monic
-        quasi = substitute_quasi(scaled, step)
+        quasi = substitute_quasi(ref, step)
         monomial = convert_basis(quasi, MONOMIAL)
         verified = verify_pointwise(lattice_op, quasi, lam)
         entries.append(FamilyEntry(k, lam, quasi, monomial, verified))

@@ -7,12 +7,15 @@ their three-term recurrences.  Each route is independent of the generation
 route.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from isospec.errors import BasisMismatchError, ParameterError
 from isospec.oracles import (
+    FamilySpec,
+    _members,
     family,
     projective_equal,
     reference_in_operator_variable,
@@ -147,6 +150,68 @@ class TestDegreesAndValues:
             assert reference_polynomial(family(name, **kwargs), 0).degree == 0
 
 
+SEVEN_FAMILIES = [
+    ("hermite", {}),
+    ("laguerre", {"alpha": F(1, 2)}),
+    ("legendre", {}),
+    ("jacobi", {"alpha": 1, "beta": F(1, 3)}),
+    ("hahn", {"alpha": 1, "beta": 2, "size": 12}),
+    ("meixner", {"gamma": F(3, 2), "mu": F(2, 5)}),
+    ("charlier", {"mu": 3}),
+]
+
+
+def rising(a, j):
+    out = F(1)
+    for i in range(j):
+        out *= a + i
+    return out
+
+
+class TestMembers:
+    @pytest.mark.parametrize("name,kwargs", SEVEN_FAMILIES, ids=[n for n, _ in SEVEN_FAMILIES])
+    def test_one_run_gives_every_lower_degree(self, name, kwargs):
+        spec = family(name, **kwargs)
+        members = _members(spec, 10)
+        assert len(members) == 11
+        for j in range(11):
+            assert _members(spec, j) == members[:j + 1]
+            assert reference_polynomial(spec, j) == members[j]
+
+    @pytest.mark.parametrize("name,kwargs,term", [
+        ("hahn", {"alpha": 1, "beta": 2, "size": 12},
+         lambda n, j: rising(-n, j) * rising(n + 4, j) / (rising(3, j) * rising(-11, j))),
+        ("meixner", {"gamma": F(3, 2), "mu": F(2, 5)},
+         lambda n, j: rising(-n, j) / rising(F(3, 2), j) * (1 - 1 / F(2, 5)) ** j),
+        ("charlier", {"mu": 3}, lambda n, j: rising(-n, j) * (-1 / F(3)) ** j),
+    ], ids=["hahn", "meixner", "charlier"])
+    def test_sums_match_their_terms_evaluated_at_points(self, name, kwargs, term):
+        # the hypergeometric sum summed as numbers at each point, with no polynomials
+        members = _members(family(name, **kwargs), 10)
+        for n, member in enumerate(members):
+            for x in (F(-2), F(0), F(3), F(7, 2)):
+                value = sum(term(n, j) * rising(-x, j) / math.factorial(j)
+                            for j in range(n + 1))
+                assert member(x) == value
+
+    def test_hahn_beyond_max_degree_names_the_range(self):
+        spec = family("hahn", alpha=0, beta=0, size=4)
+        assert len(_members(spec, 3)) == 4
+        with pytest.raises(ParameterError, match=r"hahn has only degrees 0\.\.3, got 4"):
+            _members(spec, 4)
+
+    def test_degenerate_meixner_gamma_raises_at_the_same_term(self):
+        # family() refuses gamma = -1; a hand-built spec reaches the sum, whose
+        # bottom parameter gamma + (j - 1) vanishes at term 2
+        spec = FamilySpec("meixner", (("gamma", F(-1)), ("mu", F(2))))
+        assert reference_polynomial(spec, 1).degree == 1
+        for k in (2, 5):
+            with pytest.raises(ParameterError, match="-1 degenerates at term 2"):
+                reference_polynomial(spec, k)
+            with pytest.raises(ParameterError, match="-1 degenerates at term 2"):
+                _members(spec, k)
+
+
 class TestProjectiveEqual:
     def test_scaled_pair(self):
         assert projective_equal(Polynomial((-2, 0, 4)), Polynomial((-1, 0, 2)))
@@ -194,7 +259,10 @@ class TestValidation:
         spec = family("hahn", alpha=0, beta=0, size=4)
         assert spec.variable_scale == -1
         direct = reference_polynomial(spec, 2)
-        assert reference_in_operator_variable(spec, 2) == direct.affine(-1, 0)
+        mapped = reference_in_operator_variable(spec, 2)
+        assert mapped.degree == direct.degree
+        for x in (F(2 * i - 5, 3) for i in range(direct.degree + 1)):
+            assert mapped(x) == direct(-x)
         # identity map families pass straight through
         spec2 = family("charlier", mu=2)
         assert reference_in_operator_variable(spec2, 2) == reference_polynomial(spec2, 2)

@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isospec.algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
+from isospec import oracles
 from isospec.errors import (
     DegenerateSpectrumError,
+    IsospecError,
     SubspaceOverflowError,
 )
 from isospec.operators import (
@@ -773,9 +775,33 @@ class TestDiscreteFamily:
         assert entry.verified
 
     def test_degree_zero_row_is_constant(self):
-        for name in ("hermite", "legendre"):
-            table = discrete_family(name, 1, 0)
-            assert table.entries[0].monomial.degree == 0
+        for name, kwargs in (("hermite", {}), ("laguerre", {"alpha": F(1, 2)}), ("legendre", {}),
+                             ("jacobi", {"alpha": F(1, 2), "beta": F(1, 3)})):
+            table = discrete_family(name, F(3, 7), 0, **kwargs)
+            assert len(table.entries) == 1
+            entry = table.entries[0]
+            assert (entry.degree, entry.eigenvalue, entry.verified) == (0, 0, True)
+            assert entry.monomial == oracles.reference_polynomial(oracles.family(name, **kwargs), 0)
+
+    def test_rows_are_the_reference_members(self):
+        spec = oracles.family("jacobi", alpha=F(1, 2), beta=F(1, 3))
+        table = discrete_family("jacobi", F(3, 7), 6, alpha=F(1, 2), beta=F(1, 3))
+        assert [e.quasi.coeffs for e in table.entries] == [
+            ref.coeffs for ref in oracles._members(spec, 6)]
+
+    def test_wrong_reference_member_is_refused(self, monkeypatch):
+        members = oracles._members
+
+        def wrong_degree_three(spec, k):
+            out = members(spec, k)
+            out[3] = out[3] + Polynomial.identity()
+            return out
+
+        monkeypatch.setattr(oracles, "_members", wrong_degree_three)
+        with pytest.raises(IsospecError, match="degree-3 eigenvector disagrees with the hermite"):
+            discrete_family("hermite", 1, 5)
+        monkeypatch.undo()
+        assert discrete_family("hermite", 1, 5).entries[3].verified
 
     def test_quasi_vectors_are_step_independent(self):
         full = discrete_family("hermite", 1, 3)
