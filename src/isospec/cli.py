@@ -67,6 +67,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _CLASSICAL = tuple(CLASSICAL_PRESETS)
+_OPERATORS = _CLASSICAL + ("e2", "three-point", "qes2", "qes3")
 
 MAX_SIZE = 500
 MAX_TRIALS = 1000
@@ -130,8 +131,9 @@ def _reject_family_flags(args, what: str):
         raise UsageError(f"{what} takes no family flags, got {', '.join(given)}")
 
 
-# flags that only the QES operators take, and the operators that take them
-_QES_FLAGS = {"spin": ("qes2", "qes3"), "aplus": ("qes3",)}
+# flags that only some operators take, and the operators that take them
+_OPERATOR_FLAGS = {"spin": ("qes2", "qes3"), "aplus": ("qes3",), "preset": ("three-point",),
+                   "params": ("e2", "three-point", "qes2", "qes3")}
 
 
 def _resolve_operator(args):
@@ -142,15 +144,19 @@ def _resolve_operator(args):
     back realized with their own step.
     """
     op = canonical_name(args.op)
+    if op not in _OPERATORS:
+        raise UsageError(f"unknown operator {args.op!r}; choose from {list(_OPERATORS)}")
     step = None
     if getattr(args, "delta", None) is not None:
         step = _parse_fraction_arg(args.delta, "--delta")
         if step == 0:
             raise UsageError("--delta must be nonzero")
     notes = []
-    for flag, takers in _QES_FLAGS.items():
+    for flag, takers in _OPERATOR_FLAGS.items():
         if getattr(args, flag) is not None and op not in takers:
             raise UsageError(f"--{flag} applies only to --op {' or '.join(takers)}")
+    if args.preset is not None and args.params is not None:
+        raise UsageError("--op three-point takes --preset or --params, not both")
     if args.spin is not None:
         _bounded(args.spin, "--spin", 0, MAX_SIZE)
 
@@ -201,21 +207,16 @@ def _resolve_operator(args):
         element = qes_quadratic_element(QesQuadraticForm(args.spin, *vals))
         return element, None, step, op, notes
 
-    if op == "qes3":
-        if args.spin is None or not args.params or args.aplus is None:
-            raise UsageError("--op qes3 needs --spin, --aplus and --params A1,A2,A3,A4,A5")
-        if step is None:
-            raise UsageError("--op qes3 needs --delta")
-        _reject_family_flags(args, "--op qes3")
-        vals = _parse_params(args.params, 5, "--params")
-        aplus = _parse_fraction_arg(args.aplus, "--aplus")
-        shift_op = qes_three_point_operator(aplus, ThreePointParams(*vals, step=step), args.spin)
-        return None, shift_op, step, op, notes
-
-    raise UsageError(
-        f"unknown operator {args.op!r}; choose from "
-        f"{list(_CLASSICAL) + ['e2', 'three-point', 'qes2', 'qes3']}"
-    )
+    # op == "qes3"
+    if args.spin is None or not args.params or args.aplus is None:
+        raise UsageError("--op qes3 needs --spin, --aplus and --params A1,A2,A3,A4,A5")
+    if step is None:
+        raise UsageError("--op qes3 needs --delta")
+    _reject_family_flags(args, "--op qes3")
+    vals = _parse_params(args.params, 5, "--params")
+    aplus = _parse_fraction_arg(args.aplus, "--aplus")
+    shift_op = qes_three_point_operator(aplus, ThreePointParams(*vals, step=step), args.spin)
+    return None, shift_op, step, op, notes
 
 
 def _need_shift_operator(args) -> tuple[ShiftOperator, str, list[str]]:
@@ -284,6 +285,8 @@ def _cmd_spectrum(args) -> int:
     element, shift_op, step, name, notes = _resolve_operator(args)
     degree = _bounded(args.degree, "--degree", 0, MAX_SIZE)
     if element is not None and step is None:
+        if args.basis is not None:
+            raise UsageError("--basis applies only to lattice spectra; give --delta")
         matrix = continuum_matrix(element, degree)
         representation = "continuum"
     else:

@@ -254,8 +254,13 @@ def reference_polynomial(spec: FamilySpec, k: int) -> Polynomial:
 def reference_in_operator_variable(spec: FamilySpec, k: int) -> Polynomial:
     """The reference polynomial with the recorded variable map x -> scale*x
     applied, ready for projective comparison against operator eigenvectors."""
+    return _in_operator_variable(spec, reference_polynomial(spec, k))
+
+
+def _in_operator_variable(spec: FamilySpec, p: Polynomial) -> Polynomial:
+    """``p(scale*x)`` for the family's recorded variable map."""
     scale = spec.variable_scale
-    return Polynomial(c * scale**i for i, c in enumerate(reference_polynomial(spec, k).coeffs))
+    return Polynomial(c * scale**i for i, c in enumerate(p.coeffs))
 
 
 def projective_equal(p: Polynomial, q: Polynomial) -> bool:

@@ -8,9 +8,14 @@ delta the same relation is realized by shift operators
     a  ->  (T - 1)/delta            the forward difference,
     b  ->  x * T^{-1}               multiply-then-step-back,
 
-where ``T^k f(x) = f(x + k*delta)``.  A :class:`ShiftOperator` is a finite sum
-``sum_k p_k(x) * T^k`` with polynomial coefficients; composition follows the
-skew rule ``T^k * q(x) = q(x + k*delta) * T^k`` and shifts add.
+where ``T^k f(x) = f(x + k*delta)``.  Since ``(x * T^{-1})^m = x^(m) * T^{-m}``
+with ``x^(m)`` the falling factorial of step delta, each normal-ordered term
+has a closed form, and realization is term by term with no operator product:
+
+    b^m a^n  ->  delta^{-n} * sum_{i=0..n} (-1)^(n-i) C(n, i) x^(m) T^(i-m).
+
+A :class:`ShiftOperator` is a finite sum ``sum_k p_k(x) * T^k`` with polynomial
+coefficients; composition follows the skew rule ``T^k * q(x) = q(x + k*delta) * T^k``.
 
 Everything is immutable and exact.
 """
@@ -18,12 +23,12 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 
 from .algebra import AlgebraElement
 from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_int, unique_keys,
                      wire_list, wire_object)
-from .polynomials import Basis, Polynomial, convert_basis
+from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -298,25 +303,23 @@ def lattice_raising(step) -> ShiftOperator:
 def realize_lattice(element: AlgebraElement, step) -> ShiftOperator:
     """Realize a normal-ordered element as a shift operator on the lattice.
 
-    Substitutes ``a -> forward_difference`` and ``b -> x*T^{-1}`` and
-    multiplies out in the skew product; the map is an exact algebra
-    homomorphism, so the defining relation survives:
-    ``[realize(a), realize(b)] = identity``.
+    Substitutes ``a -> (T - 1)/delta`` and ``b -> x*T^{-1}`` term by term in
+    closed form, ``c*b^m a^n -> c*delta^{-n} * sum_i (-1)^(n-i) C(n,i) x^(m) T^(i-m)``,
+    with no skew product; the map is an exact algebra homomorphism, so the
+    defining relation survives: ``[realize(a), realize(b)] = identity``.
     """
     step = nonzero_step(step)
-    a_op = forward_difference(step)
-    b_op = lattice_raising(step)
-    # cache generator powers; elements are tiny, degrees are small
-    a_pows: list[ShiftOperator] = [ShiftOperator.identity(step)]
-    b_pows: list[ShiftOperator] = [ShiftOperator.identity(step)]
-    out = ShiftOperator.zero(step)
-    for (m, n), c in sorted(element.terms.items()):
-        while len(b_pows) <= m:
-            b_pows.append(b_pows[-1] * b_op)
-        while len(a_pows) <= n:
-            a_pows.append(a_pows[-1] * a_op)
-        out = out + c * (b_pows[m] * a_pows[n])
-    return out
+    ladder = quasi_basis(step)
+    rungs: dict[int, Polynomial] = {}  # x^(m) on monomials, once per m
+    out: dict[int, Polynomial] = {}
+    for (m, n), c in element.terms.items():
+        if m not in rungs:
+            rungs[m] = convert_basis(Polynomial.unit_vector(m, ladder), MONOMIAL)
+        scale = c / step**n
+        for i in range(n + 1):
+            term = ((-1) ** (n - i) * comb(n, i) * scale) * rungs[m]
+            out[i - m] = out[i - m] + term if i - m in out else term
+    return ShiftOperator(step, out)
 
 
 def apply_continuum(element: AlgebraElement, p: Polynomial) -> Polynomial:

@@ -204,15 +204,8 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
 
 
 def _draw_second_order(rng, generic=False) -> SecondOrderParams:
-    nz = generic
-    return SecondOrderParams(
-        a0=_rand_fraction(rng, nonzero=nz),
-        a1=_rand_fraction(rng, nonzero=nz),
-        a2=_rand_fraction(rng, nonzero=nz),
-        b0=_rand_fraction(rng),
-        b1=_rand_fraction(rng),
-        c0=_rand_fraction(rng),
-    )
+    """a0, a1, a2 (nonzero when ``generic``), then b0, b1, c0."""
+    return SecondOrderParams(*(_rand_fraction(rng, nonzero=generic and i < 3) for i in range(6)))
 
 
 def _draw_three_point(rng, step=None, nonzero=False) -> ThreePointParams:
@@ -279,20 +272,7 @@ def _suite_second_order(seed: int, trials: int | None) -> SuiteResult:
 
 
 def _draw_qes_form(rng, spin: int, generic=False) -> QesQuadraticForm:
-    nz = generic
-    return QesQuadraticForm(
-        spin=spin,
-        plus_plus=_rand_fraction(rng, nonzero=nz),
-        plus_zero=_rand_fraction(rng, nonzero=nz),
-        plus_minus=_rand_fraction(rng, nonzero=nz),
-        zero_zero=_rand_fraction(rng, nonzero=nz),
-        zero_minus=_rand_fraction(rng, nonzero=nz),
-        minus_minus=_rand_fraction(rng, nonzero=nz),
-        plus=_rand_fraction(rng, nonzero=nz),
-        zero=_rand_fraction(rng, nonzero=nz),
-        minus=_rand_fraction(rng, nonzero=nz),
-        const=_rand_fraction(rng, nonzero=nz),
-    )
+    return QesQuadraticForm(spin, *(_rand_fraction(rng, nonzero=generic) for _ in range(10)))
 
 
 def _suite_stencils(seed: int, trials: int | None) -> SuiteResult:
@@ -408,19 +388,23 @@ def _suite_hermite(seed: int, trials: int | None) -> SuiteResult:
 # -- presets: discrete families against the reference oracles ------------
 
 
+def _reference_matches(pairs, spec: oracles.FamilySpec, k_top: int):
+    """Walk eigenpairs beside the family's members 0..k_top, from one run
+    and in the operator variable: each degree, its eigenvalue and whether
+    its eigenvector matches the member projectively."""
+    refs = (oracles._in_operator_variable(spec, p) for p in oracles._members(spec, k_top))
+    for k, ((lam, vec), ref) in enumerate(zip(pairs, refs, strict=True)):
+        yield k, lam, oracles.projective_equal(vec, ref)
+
+
 def _preset_mismatches(name: str, k_top: int, **params) -> int:
     """Degrees k <= k_top at which the lattice eigenvalue of a discrete
     preset differs from its closed form or its eigenvector from the
     reference family."""
     preset = discrete_preset(name, **params)
-    spec = oracles.family(name, **params)
     matrix = lattice_matrix(three_point_operator(preset), k_top, basis=MONOMIAL)
-    bad = 0
-    for k, (lam, vec) in enumerate(eigenpairs_triangular(matrix)):
-        ref = oracles.reference_in_operator_variable(spec, k)
-        if lam != three_point_diagonal(preset, k) or not oracles.projective_equal(vec, ref):
-            bad += 1
-    return bad
+    walk = _reference_matches(eigenpairs_triangular(matrix), oracles.family(name, **params), k_top)
+    return sum(lam != three_point_diagonal(preset, k) or not same for k, lam, same in walk)
 
 
 def _suite_presets(seed: int, trials: int | None) -> SuiteResult:
@@ -452,12 +436,10 @@ def _suite_presets(seed: int, trials: int | None) -> SuiteResult:
         ("legendre", {}),
         ("jacobi", {"alpha": 1, "beta": Fraction(1, 3)}),
     ):
-        element = second_order_element(classical_preset(name, **params))
-        spec = oracles.family(name, **params)
-        pairs = eigenpairs_triangular(continuum_matrix(element, 8))
-        for k, ((lam, vec), ref) in enumerate(zip(pairs, oracles._members(spec, 8), strict=True)):
-            if not oracles.projective_equal(vec, ref):
-                bad.append((name, k))
+        pairs = eigenpairs_triangular(
+            continuum_matrix(second_order_element(classical_preset(name, **params)), 8))
+        bad += [(name, k) for k, _, same
+                in _reference_matches(pairs, oracles.family(name, **params), 8) if not same]
     checks.append(CheckResult(
         "classical continuum presets match their reference families",
         not bad, f"laguerre/legendre/jacobi, k <= 8; {len(bad)} mismatches"))

@@ -229,6 +229,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("isospec: usage error:") and "--aplus" in err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--basis", ["spectrum", "--op", "hermite", "--degree", "2", "--basis", "quasi"]),
+        ("--params", ["discretize", "--op", "hermite", "--delta", "1",
+                      "--params", "1,2,3,4,5,6"]),
+        ("--params", ["discretize", "--op", "three-point", "--preset", "charlier", "--mu", "2",
+                      "--params", "1,2,3,4,5"]),
+        ("--preset", ["discretize", "--op", "e2", "--params", "0,0,-1,-2,0,0", "--delta", "1",
+                      "--preset", "hahn"]),
+    ], ids=["basis-on-continuum", "params-on-classical", "params-with-preset", "preset-on-e2"])
+    def test_flags_the_operator_does_not_take_are_usage_errors(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: usage error:") and flag in err
+
+    def test_unknown_operator_is_named_before_its_flags(self, capsys):
+        code, out, err = run_cli(capsys, "discretize", "--op", "bogus", "--params", "1,2",
+                                 "--delta", "1")
+        assert code == 2 and out == ""
+        assert "unknown operator 'bogus'" in err
+
     def test_unwritable_output_exits_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "discretize", "--op", "hermite",

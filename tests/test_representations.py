@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isospec.algebra import AlgebraElement, gen_a, gen_b, unit
-from isospec.errors import BasisMismatchError, StepMismatchError
+from isospec.errors import BasisMismatchError, ParameterError, StepMismatchError
 from isospec.polynomials import Polynomial, quasi_basis, quasi_monomial
 from isospec.representations import (
     ShiftOperator,
@@ -173,6 +173,36 @@ def test_realization_homomorphism_high_degree():
             for degree in range(13):
                 mono = Polynomial.unit_vector(degree)
                 assert product.apply(mono) == left.apply(right.apply(mono))
+
+
+def substituted(element, step):
+    """The substitution a -> forward difference, b -> x*T^{-1}, multiplied out
+    in the skew product: the reference for realize_lattice's closed form."""
+    out = ShiftOperator.zero(step)
+    for (m, n), c in element.terms.items():
+        out = out + c * (lattice_raising(step) ** m * forward_difference(step) ** n)
+    return out
+
+
+class TestClosedForm:
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), coeffs, max_size=4)
+           .map(AlgebraElement),
+           st.sampled_from((F(1), F(-1), F(1, 2), F(3, 7), F(-5, 3))))
+    def test_equals_the_skew_product_substitution(self, element, step):
+        assert realize_lattice(element, step) == substituted(element, step)
+
+    def test_zero_element_gives_the_zero_operator(self):
+        for step in STEPS:
+            op = realize_lattice(AlgebraElement({}), step)
+            assert op == ShiftOperator.zero(step) and op.is_zero
+
+    @pytest.mark.parametrize("element", [B * A + unit(2), AlgebraElement({})],
+                             ids=["generic", "zero"])
+    def test_step_is_validated(self, element):
+        with pytest.raises(ParameterError):
+            realize_lattice(element, 0)
+        with pytest.raises(TypeError):
+            realize_lattice(element, 0.5)
 
 
 class TestSerialization:
