@@ -64,7 +64,6 @@ from .representations import (
     ShiftOperator,
     apply_continuum,
     backward_difference,
-    fock_vector,
     forward_difference,
     lattice_raising,
     realize_lattice,

@@ -53,12 +53,7 @@ class AlgebraElement:
                 require_int(n, "exponent of a")
                 c = as_fraction(coeff)
                 if c:
-                    key = (m, n)
-                    acc = clean.get(key, _ZERO) + c
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        clean.pop(key, None)
+                    clean[(m, n)] = c
         self._terms = clean
 
     @property

@@ -123,14 +123,6 @@ def _family_kwargs(args) -> dict:
     return out
 
 
-def _reject_family_flags(args, what: str):
-    """Inline-coefficient operators take no family parameters: a family flag
-    given with one is a usage error, never silently dropped."""
-    given = [f"--{name}" for name in _FAMILY_FLAGS if getattr(args, name, None) is not None]
-    if given:
-        raise UsageError(f"{what} takes no family flags, got {', '.join(given)}")
-
-
 # flags that only some operators take, and the operators that take them
 _OPERATOR_FLAGS = {"spin": ("qes2", "qes3"), "aplus": ("qes3",), "preset": ("three-point",),
                    "params": ("e2", "three-point", "qes2", "qes3")}
@@ -157,6 +149,10 @@ def _resolve_operator(args):
             raise UsageError(f"--{flag} applies only to --op {' or '.join(takers)}")
     if args.preset is not None and args.params is not None:
         raise UsageError("--op three-point takes --preset or --params, not both")
+    # inline coefficients take no family parameters: never drop one silently
+    given = [f"--{name}" for name in _FAMILY_FLAGS if getattr(args, name, None) is not None]
+    if args.params is not None and given:
+        raise UsageError(f"--op {op} with --params takes no family flags, got {', '.join(given)}")
     if args.spin is not None:
         _bounded(args.spin, "--spin", 0, MAX_SIZE)
 
@@ -170,7 +166,6 @@ def _resolve_operator(args):
     if op == "e2":
         if not args.params:
             raise UsageError("--op e2 needs --params a0,a1,a2,b0,b1,c0")
-        _reject_family_flags(args, "--op e2")
         vals = _parse_params(args.params, 6, "--params")
         element = second_order_element(SecondOrderParams(*vals))
         return element, None, step, op, notes
@@ -190,7 +185,6 @@ def _resolve_operator(args):
                 )
             if step is None:
                 raise UsageError("--op three-point with --params needs --delta")
-            _reject_family_flags(args, "--op three-point with --params")
             vals = _parse_params(args.params, 5, "--params")
             params = ThreePointParams(*vals, step=step)
         return None, three_point_operator(params), params.step, op, notes
@@ -202,7 +196,6 @@ def _resolve_operator(args):
                 "coefficients (plus-plus, plus-zero, plus-minus, zero-zero, "
                 "zero-minus, minus-minus, plus, zero, minus, const)"
             )
-        _reject_family_flags(args, "--op qes2")
         vals = _parse_params(args.params, 10, "--params")
         element = qes_quadratic_element(QesQuadraticForm(args.spin, *vals))
         return element, None, step, op, notes
@@ -212,7 +205,6 @@ def _resolve_operator(args):
         raise UsageError("--op qes3 needs --spin, --aplus and --params A1,A2,A3,A4,A5")
     if step is None:
         raise UsageError("--op qes3 needs --delta")
-    _reject_family_flags(args, "--op qes3")
     vals = _parse_params(args.params, 5, "--params")
     aplus = _parse_fraction_arg(args.aplus, "--aplus")
     shift_op = qes_three_point_operator(aplus, ThreePointParams(*vals, step=step), args.spin)

@@ -322,7 +322,11 @@ def _preset_hahn_continued(mu, nu, size) -> ThreePointParams:
 def _preset_meixner(gamma, mu) -> ThreePointParams:
     gamma, mu = as_fraction(gamma), as_fraction(mu)
     require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
-    require(gamma != 0, f"gamma must be nonzero, got {gamma}")
+    # (gamma)_j vanishes from j = 1 - gamma on: no meixner polynomial there
+    require(
+        not (gamma <= 0 and gamma.denominator == 1),
+        f"gamma must not be a non-positive integer, got {gamma}",
+    )
     return ThreePointParams(a1=0, a2=mu, a3=mu - 1, a4=gamma * mu, a5=0, step=1)
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "lattice_raising",
     "realize_lattice",
     "apply_continuum",
-    "fock_vector",
 ]
 
 _ZERO = Fraction(0)
@@ -66,13 +65,7 @@ class ShiftOperator:
                     raise BasisMismatchError(
                         "shift-operator coefficients must be monomial polynomials"
                     )
-                if poly.is_zero:
-                    continue
-                if shift in clean:
-                    poly = clean[shift] + poly
-                if poly.is_zero:
-                    clean.pop(shift, None)
-                else:
+                if not poly.is_zero:
                     clean[shift] = poly
         object.__setattr__(self, "step", step_value)
         object.__setattr__(self, "_terms", clean)
@@ -359,18 +352,3 @@ def _continuum_images(element: AlgebraElement, vectors) -> list[list[Fraction]]:
         images.append(image)
     return images
 
-
-def fock_vector(n: int, step) -> Polynomial:
-    """n-fold application of the lattice ``b`` to the constant 1.
-
-    The constant is the natural vacuum on the lattice (the forward difference
-    annihilates it), and the resulting vector equals the degree-``n``
-    quasi-monomial; this function computes it by iterated application so it
-    can be checked independently against the product expansion.
-    """
-    require_int(n, "n")
-    b_op = lattice_raising(step)
-    out = Polynomial.constant(1)
-    for _ in range(n):
-        out = b_op.apply(out)
-    return out

@@ -113,14 +113,6 @@ class OperatorMatrix:
             for j in range(i)
         )
 
-    @property
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 

@@ -30,13 +30,12 @@ from .operators import (
     three_point_operator,
     three_point_stencil,
 )
-from .polynomials import MONOMIAL, Polynomial, quasi_monomial
+from .polynomials import MONOMIAL, Polynomial
 from .rationals import format_fraction
 from .representations import (
     ShiftOperator,
     apply_continuum,
     backward_difference,
-    fock_vector,
     forward_difference,
     lattice_raising,
     realize_lattice,
@@ -144,9 +143,15 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
         "forward minus backward difference equals step times their product",
         ok, f"steps {{{_steps_str()}}}"))
 
-    # x^(0)..x^(21) per step, each built once by quasi_monomial, the
-    # reference the realization is checked against
-    ladders = [[quasi_monomial(n, step) for n in range(22)] for step in STEP_SET]
+    # x^(0)..x^(21) per step, built once by the recurrence
+    # x^(n+1) = (x - n*step) * x^(n): the reference the realization is checked
+    # against, independent of ShiftOperator.apply
+    ladders = []
+    for step in STEP_SET:
+        ladder = [Polynomial.constant(1)]
+        for n in range(21):
+            ladder.append(Polynomial((-n * step, 1)) * ladder[n])
+        ladders.append(ladder)
 
     ok = True
     for step, ladder in zip(STEP_SET, ladders):
@@ -164,8 +169,12 @@ def _suite_heisenberg(seed: int, trials: int | None) -> SuiteResult:
 
     ok = True
     for step, ladder in zip(STEP_SET, ladders):
-        for n in range(21):
-            ok = ok and fock_vector(n, step) == ladder[n]
+        # one walk up from the vacuum per step: b^n 1 = x^(n)
+        b_op, rung = lattice_raising(step), Polynomial.constant(1)
+        ok = ok and rung == ladder[0]
+        for n in range(1, 21):
+            rung = b_op.apply(rung)
+            ok = ok and rung == ladder[n]
     checks.append(CheckResult(
         "iterated raising of the constant equals the quasi-monomial",
         ok, "n <= 20"))

@@ -17,7 +17,7 @@ from isospec.operators import (QesQuadraticForm, SecondOrderParams, classical_pr
 from isospec.oracles import family, reference_polynomial
 from isospec.polynomials import MONOMIAL, Basis, Polynomial, quasi_monomial
 from isospec.rationals import as_fraction, format_fraction, parse_fraction
-from isospec.representations import ShiftOperator, fock_vector
+from isospec.representations import ShiftOperator
 from isospec.spectral import (OperatorMatrix, continuum_matrix, discrete_family,
                               invariant_subspace_check)
 from isospec.verify import run, run_suite
@@ -32,12 +32,11 @@ from isospec.verify import run, run_suite
     (lambda: quasi_monomial(True, 1), ValueError),
     (lambda: invariant_subspace_check(gen_a(), True), ValueError),
     (lambda: Polynomial.identity() ** True, ValueError),
-    (lambda: fock_vector(True, 1), ValueError),
     (lambda: reference_polynomial(family("hermite"), True), ParameterError),
     (lambda: continuum_matrix(gen_a(), True), ValueError),
     (lambda: discrete_family("hermite", 1, True), ValueError),
 ], ids=["element-key", "element-json", "shift", "sl2-spin", "qes-spin", "quasi-monomial",
-        "subspace-spin", "power", "fock", "reference-degree", "matrix-degree", "k-max"])
+        "subspace-spin", "power", "reference-degree", "matrix-degree", "k-max"])
 def test_floats_and_bools_are_not_integers(build, error):
     with pytest.raises(error):
         build()

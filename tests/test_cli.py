@@ -216,6 +216,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "family flags" in err
 
+    def test_meixner_preset_refuses_a_non_positive_integer_gamma(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--op", "three-point", "--preset", "meixner",
+                                 "--gamma", "-1", "--mu", "2", "--degree", "3", "--format", "text")
+        assert code == 2 and out == ""
+        assert "gamma must not be a non-positive integer" in err
+
     def test_spin_without_a_qes_operator_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "discretize", "--op", "hermite",
                                  "--delta", "1", "--spin", "3")

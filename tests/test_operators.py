@@ -27,6 +27,7 @@ from isospec.operators import (
     three_point_operator,
     three_point_stencil,
 )
+from isospec.oracles import family
 from isospec.polynomials import Polynomial
 from isospec.representations import ShiftOperator, realize_lattice
 
@@ -230,6 +231,14 @@ class TestDiscretePresets:
         assert op.coefficient(1) == Polynomial((gamma * mu, mu))
         assert op.coefficient(0) == Polynomial((-gamma * mu, -(1 + mu)))
         assert op.coefficient(-1) == Polynomial.identity()
+
+    @pytest.mark.parametrize("gamma", [0, -1, -2])
+    def test_meixner_refuses_the_gamma_its_family_refuses(self, gamma):
+        # (gamma)_j vanishes at j = 1 - gamma: no meixner polynomial of that degree
+        with pytest.raises(ParameterError, match="non-positive integer"):
+            discrete_preset("meixner", gamma=gamma, mu=2)
+        with pytest.raises(ParameterError, match="non-positive integer"):
+            family("meixner", gamma=gamma, mu=2)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

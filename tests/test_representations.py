@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from isospec.algebra import AlgebraElement, gen_a, gen_b, unit
 from isospec.errors import BasisMismatchError, ParameterError, StepMismatchError
 from isospec.polynomials import Polynomial, quasi_basis, quasi_monomial
+from isospec import verify
 from isospec.representations import (
     ShiftOperator,
     apply_continuum,
     backward_difference,
-    fock_vector,
     forward_difference,
     lattice_raising,
     realize_lattice,
@@ -128,23 +128,39 @@ class TestContinuum:
         assert apply_continuum(e, Polynomial((0, 1))) == -1 * Polynomial.unit_vector(2)
 
 
+def fock_ladder(step, top):
+    """b^0 1, ..., b^top 1 by one walk of the lattice raising operator."""
+    b_op, rungs = lattice_raising(step), [Polynomial.constant(1)]
+    for _ in range(top):
+        rungs.append(b_op.apply(rungs[-1]))
+    return rungs
+
+
 class TestFock:
     def test_vacuum_is_constant(self):
-        assert fock_vector(0, F(1, 2)) == Polynomial.constant(1)
+        assert fock_ladder(F(1, 2), 0) == [Polynomial.constant(1)]
+        assert forward_difference(F(1, 2)).apply(Polynomial.constant(1)).is_zero
 
     def test_first_rung(self):
-        assert fock_vector(1, 1) == Polynomial.identity()
+        assert fock_ladder(1, 1)[1] == Polynomial.identity()
 
     def test_third_rung_unit_step(self):
-        assert fock_vector(3, 1) == Polynomial((0, 2, -3, 1))  # x(x-1)(x-2)
+        assert fock_ladder(1, 3)[3] == Polynomial((0, 2, -3, 1))  # x(x-1)(x-2)
 
     def test_matches_ladder_polynomials(self):
         for step in STEPS:
-            for n in range(21):
-                vec = fock_vector(n, step)
+            for n, vec in enumerate(fock_ladder(step, 20)):
                 assert vec == quasi_monomial(n, step)
                 assert vec.degree == n
                 assert n == 0 or vec.leading == 1
+
+    def test_heisenberg_suite_catches_a_wrong_raising_operator(self, monkeypatch):
+        # (x + step) * T^-1 sends the constant to x + step, not to x
+        monkeypatch.setattr(verify, "lattice_raising",
+                            lambda step: ShiftOperator(step, {-1: Polynomial((step, 1))}))
+        failed = [c.name for c in verify.run_suite("heisenberg").checks if not c.passed]
+        assert failed == ["ladder action on quasi-monomials up to degree 20",
+                          "iterated raising of the constant equals the quasi-monomial"]
 
 
 @given(elements, elements, steps, st.integers(0, 8))
