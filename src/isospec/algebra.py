@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import mapping_items, require_int, unique_keys, wire_list, wire_object
-from .rationals import as_fraction, format_fraction
+from .rationals import as_fraction, format_fraction, format_terms
 
 __all__ = [
     "AlgebraElement",
@@ -152,27 +152,11 @@ class AlgebraElement:
         return f"AlgebraElement({self})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (m, n), c in sorted(self._terms.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0])):
-            word = "*".join((["b"] if m == 1 else [f"b^{m}"] if m else [])
-                            + (["a"] if n == 1 else [f"a^{n}"] if n else []))
-            if not word:
-                text = format_fraction(c)
-            elif c == 1:
-                text = word
-            elif c == -1:
-                text = f"-{word}"
-            else:
-                text = f"{format_fraction(c)}*{word}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
+        order = sorted(self._terms.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
+        return format_terms(
+            (c, "*".join((["b"] if m == 1 else [f"b^{m}"] if m else [])
+                         + (["a"] if n == 1 else [f"a^{n}"] if n else [])))
+            for (m, n), c in order)
 
     # -- serialization -----------------------------------------------------
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
-from .errors import ParameterError, canonical_name, require, require_int
+from . import oracles
+from .errors import ParameterError, canonical_name, require_int
 from .polynomials import Polynomial
-from .rationals import admissible_exponent, as_fraction, nonzero_step
+from .rationals import as_fraction, nonzero_step
 from .representations import ShiftOperator, realize_lattice
 
 __all__ = [
@@ -118,8 +119,7 @@ def _preset_hermite() -> SecondOrderParams:
     return SecondOrderParams(0, 0, -1, -2, 0, 0)
 
 
-def _preset_laguerre(alpha=0) -> SecondOrderParams:
-    alpha = admissible_exponent(alpha, "alpha")
+def _preset_laguerre(alpha) -> SecondOrderParams:
     return SecondOrderParams(0, 1, 0, 1, -(alpha + 1), 0)
 
 
@@ -127,9 +127,7 @@ def _preset_legendre() -> SecondOrderParams:
     return SecondOrderParams(1, 0, -1, -2, 0, 0)
 
 
-def _preset_jacobi(alpha=0, beta=0) -> SecondOrderParams:
-    alpha = admissible_exponent(alpha, "alpha")
-    beta = admissible_exponent(beta, "beta")
+def _preset_jacobi(alpha, beta) -> SecondOrderParams:
     return SecondOrderParams(1, 0, -1, -(alpha + beta + 2), beta - alpha, 0)
 
 
@@ -142,12 +140,18 @@ CLASSICAL_PRESETS = {
 
 
 def _build_preset(kind: str, presets: dict, name: str, params: dict):
+    """The named preset.  A preset with a reference family of the same name
+    takes the parameters that family validates and defaults, so the two can
+    never disagree on what is admissible; the builders keep only their
+    coefficient formulas."""
     key = canonical_name(name)
     builder = presets.get(key)
     if builder is None:
         raise ParameterError(
             f"unknown {kind} preset {name!r}; choose from {sorted(presets)}"
         )
+    if key in oracles.FAMILY_NAMES:
+        return builder(**dict(oracles.family(key, **params).params))
     try:
         return builder(**params)
     except TypeError as exc:
@@ -293,9 +297,6 @@ def three_point_diagonal(p: ThreePointParams, k: int) -> Fraction:
 
 
 def _preset_hahn(alpha, beta, size) -> ThreePointParams:
-    alpha = admissible_exponent(alpha, "alpha")
-    beta = admissible_exponent(beta, "beta")
-    require_int(size, "size", 2, ParameterError)
     return ThreePointParams(
         a1=-1,
         a2=size - beta - 2,
@@ -320,19 +321,10 @@ def _preset_hahn_continued(mu, nu, size) -> ThreePointParams:
 
 
 def _preset_meixner(gamma, mu) -> ThreePointParams:
-    gamma, mu = as_fraction(gamma), as_fraction(mu)
-    require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
-    # (gamma)_j vanishes from j = 1 - gamma on: no meixner polynomial there
-    require(
-        not (gamma <= 0 and gamma.denominator == 1),
-        f"gamma must not be a non-positive integer, got {gamma}",
-    )
     return ThreePointParams(a1=0, a2=mu, a3=mu - 1, a4=gamma * mu, a5=0, step=1)
 
 
 def _preset_charlier(mu) -> ThreePointParams:
-    mu = as_fraction(mu)
-    require(mu != 0, f"mu must be nonzero, got {mu}")
     return ThreePointParams(a1=0, a2=0, a3=-1, a4=mu, a5=0, step=1)
 
 
@@ -350,8 +342,10 @@ def discrete_preset(name: str, **params) -> ThreePointParams:
 
     hahn(alpha, beta, size): step -1; eigenvalues k(k+alpha+beta+1); the
     family matches its reference under x -> -x.  meixner(gamma, mu) and
-    charlier(mu): step +1, identity variable.  hahn-continued(mu, nu, size)
-    is carried as a parameter assignment with structural checks only.
+    charlier(mu): step +1, identity variable.  These three take the
+    parameters and defaults of :func:`oracles.family`.  hahn-continued(mu,
+    nu, size) is carried as a parameter assignment with structural checks
+    only.
     """
     return _build_preset("discrete", DISCRETE_PRESETS, name, params)
 

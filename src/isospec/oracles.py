@@ -57,7 +57,8 @@ class FamilySpec:
 
 
 def family(name: str, **params) -> FamilySpec:
-    """Validated family descriptor; see FAMILY_NAMES for the choices."""
+    """Validated family descriptor; see FAMILY_NAMES for the choices.  The
+    operator presets of the same name take their parameters from here."""
     key = canonical_name(name)
     if key == "hermite":
         require(not params, "hermite takes no parameters")
@@ -92,6 +93,7 @@ def family(name: str, **params) -> FamilySpec:
         require("mu" in params, "meixner requires mu")
         mu = as_fraction(params.pop("mu"))
         require(mu not in (0, 1), f"mu must differ from 0 and 1, got {mu}")
+        # (gamma)_j vanishes from j = 1 - gamma on: no meixner polynomial there
         require(
             not (gamma <= 0 and gamma.denominator == 1),
             f"gamma must not be a non-positive integer, got {gamma}",

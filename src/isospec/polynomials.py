@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BasisMismatchError, require_int, wire_list, wire_object
-from .rationals import as_fraction, format_fraction, nonzero_step
+from .rationals import as_fraction, format_fraction, format_terms, nonzero_step
 
 __all__ = [
     "Basis",
@@ -256,33 +256,11 @@ class Polynomial:
         return f"Polynomial({self}, basis={self.basis})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                text = format_fraction(c)
-            else:
-                if self.basis.is_monomial:
-                    power = "x" if k == 1 else f"x^{k}"
-                else:
-                    power = f"x({k})"
-                if c == 1:
-                    text = power
-                elif c == -1:
-                    text = f"-{power}"
-                else:
-                    text = f"{format_fraction(c)}*{power}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
+        monomial = self.basis.is_monomial
+        return format_terms(
+            (self._coeffs[k], "" if not k else f"x({k})" if not monomial
+             else "x" if k == 1 else f"x^{k}")
+            for k in range(self.degree, -1, -1))
 
     # -- serialization -----------------------------------------------------
 

@@ -74,6 +74,23 @@ def format_fraction(value: Fraction) -> str:
     return str(as_fraction(value))
 
 
+def format_terms(terms) -> str:
+    """``c*w + c*w - ...`` from ``(coefficient, word)`` pairs in display
+    order: zero terms are skipped, an empty word shows the coefficient alone,
+    a coefficient of 1 or -1 shows as its sign only, and no terms read
+    ``0``."""
+    text = ""
+    for c, word in terms:
+        if not c:
+            continue
+        body = format_fraction(abs(c))
+        if word:
+            body = word if abs(c) == 1 else f"{body}*{word}"
+        sign = "-" if c < 0 else "+"
+        text = f"{text} {sign} {body}" if text else (body if c > 0 else "-" + body)
+    return text or "0"
+
+
 def nonzero_step(step) -> Fraction:
     """A lattice step as a Fraction; zero raises :class:`ParameterError`."""
     step = as_fraction(step)

@@ -27,6 +27,7 @@ by the Chinese remainder theorem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,19 +317,19 @@ def _coefficient_bound(a: list[list[int]]) -> int:
     return bound
 
 
-# primes below 2**62, largest first, made on first use and never at import
-_PRIMES: list[int] = []
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.cache
 def _prime(index: int) -> int:
-    """The ``index``-th prime below 2**62 counting down."""
-    while len(_PRIMES) <= index:
-        q = _PRIMES[-1] - 2 if _PRIMES else 2**62 - 1
-        while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[index]
+    """The ``index``-th prime below 2**62 counting down, made on first use
+    and never at import.  Each value is a pure function of its index, so two
+    threads that race on one index both compute the same prime; callers ask
+    for indices in order, so the recursion is one level deep."""
+    q = _prime(index - 1) - 2 if index else 2**62 - 1
+    while not _is_prime(q):
+        q -= 2
+    return q
 
 
 def _is_prime(n: int) -> bool:

@@ -222,6 +222,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "gamma must not be a non-positive integer" in err
 
+    def test_meixner_preset_defaults_gamma_to_one(self, capsys):
+        argv = ["spectrum", "--op", "three-point", "--preset", "meixner", "--mu", "2",
+                "--degree", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *argv, "--gamma", "1") == (0, out, "")
+
+    def test_flag_the_preset_does_not_take_names_the_family_rule(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--op", "laguerre", "--mu", "2",
+                                 "--degree", "3")
+        assert code == 2 and out == ""
+        assert "unexpected laguerre parameters ['mu']" in err
+        assert "_preset_" not in err
+
     def test_spin_without_a_qes_operator_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "discretize", "--op", "hermite",
                                  "--delta", "1", "--spin", "3")

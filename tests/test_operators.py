@@ -253,6 +253,47 @@ class TestDiscretePresets:
             discrete_preset("hahn", alpha=0, beta=0)
 
 
+def _outcome(build, name, params):
+    """``"ok"``, or the ParameterError message ``build(name, **params)`` raises."""
+    try:
+        build(name, **params)
+    except ParameterError as exc:
+        return str(exc)
+    return "ok"
+
+
+class TestPresetsValidateThroughTheirFamily:
+    @pytest.mark.parametrize("preset, name, params", [
+        (discrete_preset, "hahn", {"size": 5}),
+        (discrete_preset, "meixner", {"mu": 2}),
+        (discrete_preset, "charlier", {}),
+        (discrete_preset, "hahn", {"alpha": 1, "beta": 2}),
+        (classical_preset, "laguerre", {"mu": 2}),
+        (discrete_preset, "charlier", {"mu": 2, "nu": 1}),
+        (discrete_preset, "hahn", {"alpha": -1, "size": 5}),
+        (classical_preset, "laguerre", {"alpha": -1}),
+        (discrete_preset, "meixner", {"gamma": -2, "mu": 2}),
+        (discrete_preset, "meixner", {"mu": 1}),
+    ], ids=["hahn-defaults", "meixner-default-gamma", "charlier-no-mu", "hahn-no-size",
+            "laguerre-mu", "charlier-nu", "hahn-alpha-range", "laguerre-alpha-range",
+            "meixner-gamma-range", "meixner-mu-range"])
+    def test_preset_and_family_give_the_same_outcome(self, preset, name, params):
+        assert _outcome(preset, name, params) == _outcome(family, name, params)
+
+    def test_omitted_parameters_take_the_family_defaults(self):
+        assert discrete_preset("hahn", size=5) == discrete_preset("hahn", alpha=0, beta=0, size=5)
+        assert discrete_preset("meixner", mu=2) == discrete_preset("meixner", gamma=1, mu=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: classical_preset("laguerre", alpha=0.5),
+        lambda: classical_preset("jacobi", beta=True),
+        lambda: discrete_preset("meixner", gamma=1.5, mu=2),
+    ], ids=["laguerre-float", "jacobi-bool", "meixner-float"])
+    def test_floats_and_bools_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
 class TestQesThreePoint:
     def test_no_raising_reduces_to_plain_family(self):
         rng = random.Random(6)

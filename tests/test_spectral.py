@@ -1,7 +1,11 @@
 """Matrices, characteristic polynomials, certificates, families."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from math import perm
 
@@ -581,6 +585,49 @@ class TestCharPoly:
         ints = integer_matrix(data.draw(shaped_matrices(shape)))
         bound = _coefficient_bound([[int(c) for c in row] for row in ints])
         assert all(abs(c) <= bound for c in reference_char_poly(ints))
+
+    def test_threads_that_meet_on_the_first_prime_agree(self):
+        # a fresh interpreter, so the primes are made during the test; each
+        # thread waits at its first primality test until the other reaches
+        # its own, so both look for the first prime at the same time
+        script = textwrap.dedent("""
+            import threading
+            from fractions import Fraction as F
+            from isospec import spectral
+            from isospec.operators import QesQuadraticForm, qes_quadratic_element
+
+            form = QesQuadraticForm(40, *(F(k % 7 + 1, k % 3 + 1) for k in range(10)))
+            matrix = spectral.continuum_matrix(qes_quadratic_element(form), 40)
+            barrier, seen = threading.Barrier(2, timeout=60), threading.local()
+            is_prime = spectral._is_prime
+
+            def first_call_waits(n):
+                if not hasattr(seen, "waited"):
+                    seen.waited = True
+                    barrier.wait()
+                return is_prime(n)
+
+            spectral._is_prime = first_call_waits
+            out = []
+            def run():
+                try:
+                    out.append(spectral.char_poly(matrix))
+                except Exception as exc:
+                    out.append(repr(exc))
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            spectral._is_prime = is_prime
+            print(out == [spectral.char_poly(matrix)] * 2, out[0] if out else None)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("True"), done.stdout
 
 
 class TestEigenpairs:
