@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import signature
 
 from .algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
 from . import oracles
@@ -139,23 +140,28 @@ CLASSICAL_PRESETS = {
 }
 
 
+def _preset_builder(kind: str, presets: dict, name: str):
+    """``(key, builder)`` of the named preset; an unknown name raises."""
+    key = canonical_name(name)
+    if key not in presets:
+        raise ParameterError(f"unknown {kind} preset {name!r}; choose from {sorted(presets)}")
+    return key, presets[key]
+
+
 def _build_preset(kind: str, presets: dict, name: str, params: dict):
     """The named preset.  A preset with a reference family of the same name
     takes the parameters that family validates and defaults, so the two can
     never disagree on what is admissible; the builders keep only their
     coefficient formulas."""
-    key = canonical_name(name)
-    builder = presets.get(key)
-    if builder is None:
-        raise ParameterError(
-            f"unknown {kind} preset {name!r}; choose from {sorted(presets)}"
-        )
+    key, builder = _preset_builder(kind, presets, name)
     if key in oracles.FAMILY_NAMES:
         return builder(**dict(oracles.family(key, **params).params))
+    # only a missing or unexpected keyword is a ParameterError, not a float
     try:
-        return builder(**params)
+        signature(builder).bind(**params)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for preset {key!r}: {exc}") from exc
+    return builder(**params)
 
 
 def classical_preset(name: str, **params) -> SecondOrderParams:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BasisMismatchError, require_int, wire_list, wire_object
 from .rationals import as_fraction, format_fraction, format_terms, nonzero_step
@@ -227,20 +228,16 @@ class Polynomial:
         )
 
     def shifted(self, amount) -> "Polynomial":
-        """``p(x + amount)`` (monomial basis), by the Taylor shift: repeated
-        synthetic division by ``x - amount`` leaves the coefficients
-        ``sum_j C(j, k) * amount^(j-k) * c_j`` in O(d^2) operations."""
+        """``p(x + amount)`` (monomial basis): :func:`_ladder_shift` at
+        ``s = 0`` with the one rung ``(0, 1, amount)``, which spreads ``c_j x^j``
+        to ``sum_i C(j, i) * amount^(j-i) * c_j * x^i`` over the integers."""
         if not self.basis.is_monomial:
             raise BasisMismatchError("a shift needs the monomial basis")
         amount = as_fraction(amount)
         if not amount or len(self._coeffs) <= 1:
             return self
-        out = list(self._coeffs)
-        top = len(out) - 1
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                out[j] += amount * out[j + 1]
-        return Polynomial(out)
+        (image,) = _ladder_shift([self._coeffs], [(0, _ONE, amount)], _ZERO)
+        return Polynomial(image)
 
     # -- housekeeping --------------------------------------------------
 
@@ -294,6 +291,12 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
 
     Conversion between two quasi bases with different steps is refused (go
     through the conversion you actually mean); round trips are the identity.
+
+    Both directions run over the integers with one final division.  For step
+    ``u/q`` and ``L`` the lcm of the ``n`` denominators, ladder -> monomial is
+    Newton-Horner on the nodes ``q*x - k*u`` and leaves ``L*q^(n-1)*P``;
+    monomial -> ladder divides ``L*q^(n-1)*P(y/q)`` by ``y - k*u`` repeatedly,
+    and remainder ``k`` is ``L*q^(n-1-k)`` times the coefficient of ``x^(k)``.
     """
     if p.basis == target:
         return p
@@ -302,26 +305,64 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
             f"cannot convert between quasi bases at different steps "
             f"({p.basis} -> {target})"
         )
+    step = (p.basis if target.is_monomial else target).step
+    u, q = step.numerator, step.denominator
+    scale, top = lcm(*(c.denominator for c in p.coeffs)), p.degree
+    ints = [c.numerator * (scale // c.denominator) * q ** (top - i)
+            for i, c in enumerate(p.coeffs)]
     if target.is_monomial:
-        # Newton-form Horner: acc <- acc*(x - k*step) + c_k from the top
-        step = p.basis.step
-        acc: list[Fraction] = []
-        for k in range(len(p.coeffs) - 1, -1, -1):
-            node = k * step
-            nxt = [_ZERO] + acc
-            for i, a in enumerate(acc):
-                nxt[i] -= node * a
-            nxt[0] += p.coeffs[k]
-            acc = nxt
-        return Polynomial(acc)
-    # monomial -> quasi: the remainders of repeated synthetic division by
-    # x, x - step, x - 2*step, ... are the ladder coefficients in order.
-    step = target.step
-    rest = list(p.coeffs)
-    out = []
-    for k in range(len(rest)):
-        node = k * step
-        for i in range(len(rest) - 2, -1, -1):
-            rest[i] += node * rest[i + 1]
-        out.append(rest.pop(0))
-    return Polynomial(out, target)
+        acc: list[int] = []
+        for k in range(top, -1, -1):
+            node = k * u
+            acc = [q * hi - node * lo for hi, lo in zip([0] + acc, acc + [0])]
+            acc[0] += ints[k]
+        return Polynomial([Fraction(a, scale * q ** top) if a else _ZERO for a in acc])
+    for k in range(top + 1):
+        node = k * u
+        for i in range(top - 1, k - 1, -1):
+            ints[i] += node * ints[i + 1]
+    return Polynomial([Fraction(e, scale * q ** (top - k)) if e else _ZERO
+                       for k, e in enumerate(ints)], target)
+
+
+def _ladder_shift(vectors, rungs, s: Fraction) -> list[list[Fraction]]:
+    """Images of coefficient vectors on the ladder of step ``s`` (``s = 0``:
+    monomials), on that ladder and untruncated, under a sum of rungs
+    ``(r, c, h)``: ``x^(j) -> c * sum_m C(j, m) * h^(m) * x^(r+j-m)`` with
+    ``h^(m) = h(h - s)...(h - (m-1)s)``.
+
+    Over the integers: for ``D`` the lcm of the denominators of ``s`` and every
+    ``h``, ``D^m * h^(m) = H(H - S)...(H - (m-1)S)`` with ``H = D*h, S = D*s``,
+    cut at its first zero factor and scaled by ``D`` to the widest band ``w``.
+    With ``V`` a vector's own denominator and ``R`` the rung coefficients',
+    each nonzero output entry is one Fraction over ``V*R*D^w``.
+    """
+    rungs = [(r, c, h) for r, c, h in rungs if c]
+    top = max(map(len, vectors), default=0)
+    d = lcm(s.denominator, *(h.denominator for _, _, h in rungs))
+    big_s = s.numerator * (d // s.denominator)
+    ratio = lcm(*(c.denominator for _, c, _ in rungs))
+    bands = []
+    for r, c, h in rungs:
+        big_h = h.numerator * (d // h.denominator)
+        falling = [c.numerator * (ratio // c.denominator)]
+        while len(falling) < top and (nxt := falling[-1] * (big_h - (len(falling) - 1) * big_s)):
+            falling.append(nxt)
+        bands.append((r, falling))
+    width = max((len(f) for _, f in bands), default=1) - 1
+    bands = [(r, [f * d ** (width - m) for m, f in enumerate(falling)]) for r, falling in bands]
+    reach = max((r for r, _ in bands), default=0)
+    images = []
+    for v in vectors:
+        den = lcm(*(c.denominator for c in v))
+        nonzero = [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(v) if c]
+        acc = [0] * (len(v) + reach)
+        for r, falling in bands:
+            for j, vj in nonzero:
+                binom = vj  # vj * C(j, m)
+                for m in range(min(j + 1, len(falling))):
+                    acc[r + j - m] += binom * falling[m]
+                    binom = binom * (j - m) // (m + 1)
+        den *= ratio * d ** width
+        images.append([Fraction(a, den) if a else _ZERO for a in acc])
+    return images

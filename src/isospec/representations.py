@@ -28,7 +28,7 @@ from math import comb, perm
 from .algebra import AlgebraElement
 from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_int, unique_keys,
                      wire_list, wire_object)
-from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
+from .polynomials import MONOMIAL, Basis, Polynomial, _ladder_shift, convert_basis, quasi_basis
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -176,15 +176,14 @@ class ShiftOperator:
         return self * other - other * self
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Apply to a monomial-basis polynomial: sum_k p_k(x) * p(x + k*step)."""
+        """Apply to a monomial-basis polynomial: sum_k p_k(x) * p(x + k*step),
+        by :meth:`_ladder_images` on the monomial ladder (``s = 0``)."""
         if not p.basis.is_monomial:
             raise BasisMismatchError(
                 "shift operators act on monomial coefficient vectors; convert first"
             )
-        out = Polynomial.zero()
-        for k, pk in self._terms.items():
-            out = out + pk * p.shifted(k * self.step)
-        return out
+        (image,) = self._ladder_images([p.coeffs], MONOMIAL)
+        return Polynomial(image)
 
     def _ladder_images(self, vectors, basis: Basis) -> list[list[Fraction]]:
         """Images of coefficient vectors written on ``basis``, on that same
@@ -193,43 +192,22 @@ class ShiftOperator:
         ladder with ``s = 0``.
 
         Each coefficient ``p_k`` is put on the ladder by :func:`convert_basis`,
-        and each rung ``c * x^(r)`` acts with ``T^k`` by one identity,
-        ``x^(r) * T^k x^(j) = sum_i C(j, i) * h^(j-i) * x^(r+i)`` with
-        ``h = k*step + r*s`` and ``h^(m) = h(h - s)...(h - (m-1)s)``: for
-        ``y = x - r*s``, ``(x + k*step)^(j) = (y + h)^(j)`` expands by the
-        binomial theorem for falling factorials, and ``x^(r) * y^(i) = x^(r+i)``.
-        ``h^(m)`` stops at its first zero factor, so over ``n`` entries in all
-        (``d + 1`` unit vectors for a matrix) a rung costs O(n*w) when
-        ``h = (w - 1)*s`` makes it a band ``w`` wide, and O(n^2) otherwise.
+        and each of its rungs ``c * x^(r)`` acts with ``T^k`` as the rung
+        ``(r, c, h = k*step + r*s)`` of :func:`_ladder_shift`, over the
+        integers: for ``y = x - r*s``, ``(x + k*step)^(j) = (y + h)^(j)`` and
+        ``x^(r) * y^(i) = x^(r+i)``.  Over ``n`` entries in all (``d + 1`` unit
+        vectors for a matrix) a rung that is a band ``w`` wide costs O(n*w),
+        any other O(n^2).
 
         Only the step and the terms are read: the algebra is never consulted,
         so lattice matrices stay an independent check of ``realize_lattice``.
         """
         s = _ZERO if basis.is_monomial else basis.step
-        top = max((len(v) for v in vectors), default=0)
-        reach = max((p.degree for p in self._terms.values()), default=0)
-        images = [[_ZERO] * (len(v) + reach) for v in vectors]
+        rungs = []
         for k, pk in self._terms.items():
-            for r, c in enumerate(convert_basis(pk, basis).coeffs):
-                if not c:
-                    continue
-                h = k * self.step + r * s
-                # c * h^(m) for m < top; once a factor vanishes every later one does
-                falling = [c]
-                while len(falling) < top:
-                    nxt = falling[-1] * (h - (len(falling) - 1) * s)
-                    if not nxt:
-                        break
-                    falling.append(nxt)
-                for v, image in zip(vectors, images):
-                    for j, vj in enumerate(v):
-                        if not vj:
-                            continue
-                        binom = 1  # C(j, m)
-                        for m in range(min(j + 1, len(falling))):
-                            image[r + j - m] += vj * binom * falling[m]
-                            binom = binom * (j - m) // (m + 1)
-        return images
+            ladder = pk if pk.basis == basis else convert_basis(pk, basis)
+            rungs += [(r, c, k * self.step + r * s) for r, c in enumerate(ladder.coeffs)]
+        return _ladder_shift(vectors, rungs, s)
 
     # -- housekeeping -------------------------------------------------------
 

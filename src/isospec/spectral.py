@@ -43,7 +43,8 @@ from .errors import (
     canonical_name,
     require_int,
 )
-from .operators import classical_preset, eigenvalue_convention_note, second_order_element
+from .operators import (CLASSICAL_PRESETS, _preset_builder, eigenvalue_convention_note,
+                        second_order_element)
 from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
 from .rationals import as_fraction, format_fraction
 from .representations import ShiftOperator, _continuum_images, realize_lattice
@@ -570,11 +571,11 @@ def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
         key = key[len("discrete-"):]
     require_int(k_max, "k_max")
     step = as_fraction(step)
-    preset = classical_preset(key, **params)
-    element = second_order_element(preset)
+    _, builder = _preset_builder("classical", CLASSICAL_PRESETS, key)
+    spec = oracles.family(key, **params)
+    element = second_order_element(builder(**dict(spec.params)))
     lattice_op = realize_lattice(element, step)
     pairs = eigenpairs_triangular(continuum_matrix(element, k_max))
-    spec = oracles.family(key, **params)
     entries = []
     for k, ((lam, phi), ref) in enumerate(zip(pairs, oracles._members(spec, k_max), strict=True)):
         if not oracles.projective_equal(phi, ref):

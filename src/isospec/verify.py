@@ -17,11 +17,12 @@ from fractions import Fraction
 from .algebra import gen_a, gen_b, sl2_generator, AlgebraElement
 from .errors import ParameterError, canonical_name, require_int
 from .operators import (
+    CLASSICAL_PRESETS,
+    DISCRETE_PRESETS,
     QesQuadraticForm,
     SecondOrderParams,
     ThreePointParams,
     classical_preset,
-    discrete_preset,
     qes_quadratic_element,
     qes_three_point_element,
     second_order_element,
@@ -410,9 +411,10 @@ def _preset_mismatches(name: str, k_top: int, **params) -> int:
     """Degrees k <= k_top at which the lattice eigenvalue of a discrete
     preset differs from its closed form or its eigenvector from the
     reference family."""
-    preset = discrete_preset(name, **params)
+    spec = oracles.family(name, **params)
+    preset = DISCRETE_PRESETS[name](**dict(spec.params))
     matrix = lattice_matrix(three_point_operator(preset), k_top, basis=MONOMIAL)
-    walk = _reference_matches(eigenpairs_triangular(matrix), oracles.family(name, **params), k_top)
+    walk = _reference_matches(eigenpairs_triangular(matrix), spec, k_top)
     return sum(lam != three_point_diagonal(preset, k) or not same for k, lam, same in walk)
 
 
@@ -445,10 +447,10 @@ def _suite_presets(seed: int, trials: int | None) -> SuiteResult:
         ("legendre", {}),
         ("jacobi", {"alpha": 1, "beta": Fraction(1, 3)}),
     ):
-        pairs = eigenpairs_triangular(
-            continuum_matrix(second_order_element(classical_preset(name, **params)), 8))
-        bad += [(name, k) for k, _, same
-                in _reference_matches(pairs, oracles.family(name, **params), 8) if not same]
+        spec = oracles.family(name, **params)
+        preset = CLASSICAL_PRESETS[name](**dict(spec.params))
+        pairs = eigenpairs_triangular(continuum_matrix(second_order_element(preset), 8))
+        bad += [(name, k) for k, _, same in _reference_matches(pairs, spec, 8) if not same]
     checks.append(CheckResult(
         "classical continuum presets match their reference families",
         not bad, f"laguerre/legendre/jacobi, k <= 8; {len(bad)} mismatches"))

@@ -219,6 +219,19 @@ class TestDiscretePresets:
             == (1, -8, -10, 15, 0)
         assert params.step == -1
 
+    @pytest.mark.parametrize("params, error", [
+        ({"mu": 0.5, "nu": 1, "size": 3}, TypeError),
+        ({"mu": 1, "nu": True, "size": 3}, TypeError),
+        ({"mu": 1, "nu": 2}, ParameterError),
+        ({"mu": 1, "nu": 2, "size": 3, "alpha": 1}, ParameterError),
+    ], ids=["float", "bool", "missing-size", "unexpected"])
+    def test_hahn_continued_refuses_like_every_rational_boundary(self, params, error):
+        # a float or bool is the TypeError it is everywhere else; only a
+        # missing or unexpected keyword is a ParameterError
+        with pytest.raises(error) as info:
+            discrete_preset("hahn-continued", **params)
+        assert type(info.value) is error
+
     def test_charlier_stencil_reads_like_the_classical_equation(self):
         op = three_point_operator(discrete_preset("charlier", mu=3))
         assert op.coefficient(1) == Polynomial.constant(3)

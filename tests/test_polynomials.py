@@ -19,6 +19,52 @@ from isospec.polynomials import (
 steps = st.sampled_from([F(1), F(-1), F(1, 2), F(3, 7), F(-2, 5)])
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 vectors = st.lists(coeffs, max_size=16)
+# negative steps and denominators up to 9; dense vectors whose entries have
+# different denominators, zero entries, all-zero and empty vectors among them
+wide_steps = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+dense_vectors = st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 9)), max_size=14)
+
+
+def trimmed(vec):
+    vec = list(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return tuple(vec)
+
+
+# Fraction reference algorithms, one Fraction operation at a time: the
+# integer kernels must reproduce them exactly
+
+
+def fraction_newton_horner(vec, step):
+    """Ladder -> monomial: acc <- acc*(x - k*step) + c_k from the top."""
+    acc = []
+    for k in range(len(vec) - 1, -1, -1):
+        nxt = [F(0)] + acc
+        for i, a in enumerate(acc):
+            nxt[i] -= k * step * a
+        nxt[0] += vec[k]
+        acc = nxt
+    return trimmed(acc)
+
+
+def fraction_synthetic_division(vec, step):
+    """Monomial -> ladder: the remainders of repeated division by x - k*step."""
+    rest, out = list(vec), []
+    for k in range(len(rest)):
+        for i in range(len(rest) - 2, -1, -1):
+            rest[i] += k * step * rest[i + 1]
+        out.append(rest.pop(0))
+    return trimmed(out)
+
+
+def fraction_taylor_shift(vec, amount):
+    """p(x + amount) by repeated synthetic division by x - amount."""
+    out = list(vec)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += amount * out[j + 1]
+    return trimmed(out)
 
 
 class TestQuasiMonomial:
@@ -83,6 +129,23 @@ class TestConvertBasis:
         p = Polynomial(vec)
         assert convert_basis(p, quasi_basis(step)).degree == p.degree
 
+    @given(dense_vectors, wide_steps)
+    def test_ladder_to_monomial_matches_fraction_newton_horner(self, vec, step):
+        p = Polynomial(vec, quasi_basis(step))
+        assert convert_basis(p, MONOMIAL).coeffs == fraction_newton_horner(vec, step)
+
+    @given(dense_vectors, wide_steps)
+    def test_monomial_to_ladder_matches_fraction_synthetic_division(self, vec, step):
+        q = convert_basis(Polynomial(vec), quasi_basis(step))
+        assert q.coeffs == fraction_synthetic_division(vec, step)
+        assert q.basis == quasi_basis(step)
+
+    def test_zero_polynomial_converts_to_zero(self):
+        ladder = quasi_basis(F(-4, 9))
+        for source, target in ((MONOMIAL, ladder), (ladder, MONOMIAL)):
+            for vec in ((), (0, 0)):
+                assert convert_basis(Polynomial(vec, source), target) == Polynomial.zero(target)
+
     @given(vectors, steps, st.integers(-6, 6))
     def test_conversion_preserves_values(self, vec, step, j):
         p = Polynomial(vec)
@@ -124,6 +187,10 @@ class TestArithmetic:
         assert q.degree == p.degree
         for x in (F(2 * i - 5, 3) for i in range(p.degree + 1)):
             assert q(x) == p(x + amount)
+
+    @given(dense_vectors, wide_steps | st.just(F(0)))
+    def test_shift_matches_the_fraction_taylor_shift(self, vec, amount):
+        assert Polynomial(vec).shifted(amount).coeffs == fraction_taylor_shift(vec, amount)
 
     def test_identity_shifts_return_the_polynomial_itself(self):
         for p, amount in [(Polynomial((1, 2, 3)), 0), (Polynomial.constant(F(5, 2)), F(7, 3)),

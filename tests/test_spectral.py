@@ -303,16 +303,36 @@ def assert_subspace_report_matches(report, reference):
         assert report.offending_degree == reference
 
 
+def fraction_taylor_shift(coeffs, amount):
+    """p(x + amount) by repeated synthetic division by x - amount."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += amount * out[j + 1]
+    return Polynomial(out)
+
+
+def fraction_action(op):
+    """The monomial action ``p -> sum_k p_k(x) * p(x + k*step)`` by Fraction
+    Taylor shifts, sharing no code with the ladder kernel."""
+    def act(p):
+        out = Polynomial.zero()
+        for k, pk in op.terms.items():
+            out = out + pk * fraction_taylor_shift(p.coeffs, k * op.step)
+        return out
+    return act
+
+
 class TestLadderMatrixAgainstMonomialDetour:
     """Lattice matrices are built on the ladder itself; the detour through
-    monomials (``matrix_on_basis`` over ``ShiftOperator.apply``) is the
+    monomials (``matrix_on_basis`` over :func:`fraction_action`) is the
     reference they must reproduce entry for entry, or overflow at the same
     degree."""
 
     @given(shift_operators, basis_kinds, st.integers(0, 7))
     def test_same_matrix_and_overflow_as_the_reference(self, op, kind, degree):
         basis = _basis(kind, op)
-        reference = matrix_or_overflow(matrix_on_basis, op.apply, basis, degree)
+        reference = matrix_or_overflow(matrix_on_basis, fraction_action(op), basis, degree)
         assert matrix_or_overflow(lattice_matrix, op, degree, basis=basis) == reference
 
     @given(elements, steps, st.integers(0, 24))
@@ -330,7 +350,8 @@ class TestLadderMatrixAgainstMonomialDetour:
 
     @given(shift_operators, st.integers(0, 7))
     def test_subspace_check_reports_the_reference_overflow(self, op, spin):
-        reference = matrix_or_overflow(matrix_on_basis, op.apply, quasi_basis(op.step), spin)
+        basis = quasi_basis(op.step)
+        reference = matrix_or_overflow(matrix_on_basis, fraction_action(op), basis, spin)
         assert_subspace_report_matches(invariant_subspace_check(op, spin), reference)
 
     @given(elements, steps, st.integers(0, 6))
@@ -344,14 +365,14 @@ class TestLadderMatrixAgainstMonomialDetour:
             MONOMIAL, spin)
         assert_subspace_report_matches(invariant_subspace_check(element, spin), continuum)
         op = realize_lattice(element, step)
-        lattice = matrix_or_overflow(matrix_on_basis, op.apply, quasi_basis(step), spin)
+        lattice = matrix_or_overflow(matrix_on_basis, fraction_action(op), quasi_basis(step), spin)
         assert_subspace_report_matches(invariant_subspace_check(element, spin, step), lattice)
 
     @given(shift_operators, basis_kinds, st.lists(small, max_size=8), small)
     def test_verify_pointwise_agrees_with_the_monomial_path(self, op, kind, coeffs, lam):
         phi = Polynomial(coeffs, _basis(kind, op))
         phi_m = convert_basis(phi, MONOMIAL)
-        assert verify_pointwise(op, phi, lam) == (op.apply(phi_m) - lam * phi_m).is_zero
+        assert verify_pointwise(op, phi, lam) == (fraction_action(op)(phi_m) - lam * phi_m).is_zero
 
     def test_verify_pointwise_accepts_true_eigenfunctions_on_any_ladder(self):
         # the property above mostly sees "false"; true eigenpairs (eigenvalue
@@ -364,6 +385,61 @@ class TestLadderMatrixAgainstMonomialDetour:
             for basis in (MONOMIAL, quasi_basis(3 * step)):
                 assert verify_pointwise(op, convert_basis(convert_basis(phi, MONOMIAL), basis), lam)
             assert verify_pointwise(op, phi, lam)
+
+
+# negative steps and denominators up to 9, dense coefficients whose
+# denominators differ; empty maps and all-zero lists give the zero operator
+wide_steps = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+dense = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+wide_shift_operators = st.builds(
+    ShiftOperator,
+    wide_steps,
+    st.dictionaries(st.integers(-3, 3), st.lists(dense, max_size=4), max_size=4),
+)
+dense_vectors = st.lists(dense, max_size=12)
+
+
+def fraction_ladder_images(op, vectors, basis):
+    """The ladder identity ``x^(r) * T^k x^(j) = sum_i C(j, i) h^(j-i) x^(r+i)``,
+    ``h = k*step + r*s``, one Fraction operation at a time."""
+    s = F(0) if basis.is_monomial else basis.step
+    reach = max((p.degree for p in op.terms.values()), default=0)
+    images = [[F(0)] * (len(v) + reach) for v in vectors]
+    for k, pk in op.terms.items():
+        for r, c in enumerate(convert_basis(pk, basis).coeffs):
+            h = k * op.step + r * s
+            for v, image in zip(vectors, images):
+                for j, vj in enumerate(v):
+                    falling = F(1)  # h^(m)
+                    for m in range(j + 1):
+                        image[r + j - m] += c * vj * math.comb(j, m) * falling
+                        falling *= h - m * s
+    return images
+
+
+class TestLadderKernelAgainstFractionReference:
+    """The integer ladder kernel behind lattice matrices, verify_pointwise,
+    ShiftOperator.apply and Polynomial.shifted must reproduce the Fraction
+    ladder identity and the Fraction Taylor shift exactly."""
+
+    @given(wide_shift_operators, basis_kinds, st.lists(dense_vectors, max_size=3))
+    def test_images_match_the_fraction_ladder_identity(self, op, kind, vectors):
+        basis = _basis(kind, op)
+        assert op._ladder_images(vectors, basis) == fraction_ladder_images(op, vectors, basis)
+
+    @given(wide_shift_operators, dense_vectors)
+    def test_apply_matches_the_fraction_taylor_shift_sum(self, op, coeffs):
+        assert op.apply(Polynomial(coeffs)) == fraction_action(op)(Polynomial(coeffs))
+
+    @pytest.mark.parametrize("kind", ["own", "monomial", "other"])
+    def test_zero_operator_and_zero_vectors(self, kind):
+        vectors = [[], [F(0)] * 3, [F(0), F(5, 9)]]
+        for op in (ShiftOperator.zero(F(-4, 9)), ShiftOperator(F(-4, 9), {2: [F(1, 3), F(-7, 8)]})):
+            basis = _basis(kind, op)
+            images = op._ladder_images(vectors, basis)
+            assert images == fraction_ladder_images(op, vectors, basis)
+            assert not any(images[0] + images[1])
+        assert ShiftOperator.zero(F(-4, 9)).apply(Polynomial((1, 2))) == Polynomial.zero()
 
 
 def repeated_differentiation(terms, coeffs):
