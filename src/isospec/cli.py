@@ -103,7 +103,7 @@ def _bounded(value: int, flag: str, low: int, high: int) -> int:
 
 
 def _parse_params(text: str, count: int, what: str) -> list[Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated rationals, got {len(parts)}")
     return [_parse_fraction_arg(p, what) for p in parts]

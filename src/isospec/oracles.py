@@ -3,10 +3,12 @@
 They never build operators: the verify suites check operator eigenvectors
 against them, and family tables take their rows from them once the matching
 eigenvector agrees.  The continuum families (hermite, laguerre, legendre,
-jacobi) come from their three-term recurrences, the lattice families (hahn,
-meixner, charlier) from terminating hypergeometric sums, all over exact
-rationals.  Each family's members of degree 0..k come from one run: one
-recurrence, or one set of Pochhammer polynomials (-x)_j shared by every sum.
+jacobi) share one three-term recurrence p_{n+1} = (A_n x + B_n) p_n -
+C_n p_{n-1} on coefficient lists, each family being its row (A_n, B_n, C_n)
+of DLMF 18.9 and its p_1; the lattice families (hahn, meixner, charlier)
+come from terminating hypergeometric sums, all over exact rationals.  Each
+family's members of degree 0..k come from one run: one recurrence, or one
+set of Pochhammer polynomials (-x)_j shared by every sum.
 
 Normalization conventions differ between handbooks, so comparisons are
 projective: equal up to one nonzero rational factor.  Where the matching
@@ -109,67 +111,47 @@ def family(name: str, **params) -> FamilySpec:
     raise ParameterError(f"unknown family {name!r}; choose from {sorted(FAMILY_NAMES)}")
 
 
-def _check_degree(spec: FamilySpec, k: int):
-    require_int(k, "degree", error=ParameterError)
-    if spec.max_degree is not None and k > spec.max_degree:
-        raise ParameterError(
-            f"{spec.name} has only degrees 0..{spec.max_degree}, got {k}"
-        )
-
-
-def _by_recurrence(k: int, p0: Polynomial, p1: Polynomial, step_fn) -> list[Polynomial]:
-    """p_0..p_k from one run of p_{n+1} = step_fn(n, p_n, p_{n-1})."""
-    members = [p0, p1]
+def _three_term(k: int, p1: list, rule) -> list[Polynomial]:
+    """p_0..p_k from p_0 = 1, ``p1`` and one run of the recurrence
+    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, ``rule(n)`` giving the row
+    (A_n, B_n, C_n); members stay coefficient lists until the end."""
+    members = [[_ONE], p1]
     for n in range(1, k):
-        members.append(step_fn(n, members[-1], members[-2]))
-    return members[:k + 1]
+        a, b, c = rule(n)
+        cur, prev = members[-1], members[-2]
+        members.append([a * u + b * v - c * w
+                        for u, v, w in zip([0, *cur], [*cur, 0], [*prev, 0, 0])])
+    return [Polynomial(p) for p in members[:k + 1]]
 
 
 def _hermite(spec: FamilySpec, k: int) -> list[Polynomial]:
-    x = Polynomial.identity()
-    return _by_recurrence(
-        k,
-        Polynomial.constant(1),
-        2 * x,
-        lambda n, cur, prev: 2 * (x * cur) - (2 * n) * prev,
-    )
+    return _three_term(k, [0, 2], lambda n: (2, 0, 2 * n))
 
 
 def _laguerre(spec: FamilySpec, k: int) -> list[Polynomial]:
     alpha = spec.param("alpha")
-    x = Polynomial.identity()
-    return _by_recurrence(
+    return _three_term(
         k,
-        Polynomial.constant(1),
-        Polynomial.constant(1 + alpha) - x,
-        lambda n, cur, prev: Fraction(1, n + 1)
-        * ((Polynomial.constant(2 * n + 1 + alpha) - x) * cur - (n + alpha) * prev),
+        [1 + alpha, -1],
+        lambda n: (Fraction(-1, n + 1), (2 * n + 1 + alpha) / (n + 1), (n + alpha) / (n + 1)),
     )
 
 
 def _legendre(spec: FamilySpec, k: int) -> list[Polynomial]:
-    x = Polynomial.identity()
-    return _by_recurrence(
-        k,
-        Polynomial.constant(1),
-        x,
-        lambda n, cur, prev: Fraction(1, n + 1) * ((2 * n + 1) * (x * cur) - n * prev),
-    )
+    return _three_term(k, [0, 1], lambda n: (Fraction(2 * n + 1, n + 1), 0, Fraction(n, n + 1)))
 
 
 def _jacobi(spec: FamilySpec, k: int) -> list[Polynomial]:
     alpha, beta = spec.param("alpha"), spec.param("beta")
-    x = Polynomial.identity()
-    p1 = Fraction(1, 2) * ((alpha + beta + 2) * x + Polynomial.constant(alpha - beta))
 
-    def step(n, cur, prev):
+    def row(n):
         s = 2 * n + alpha + beta
-        lead = (s + 1) * (s * (s + 2) * x + Polynomial.constant(alpha**2 - beta**2))
-        back = 2 * (n + alpha) * (n + beta) * (s + 2)
         denom = 2 * (n + 1) * (n + alpha + beta + 1) * s
-        return (lead * cur - back * prev) * (Fraction(1) / denom)
+        return ((s + 1) * s * (s + 2) / denom,
+                (s + 1) * (alpha**2 - beta**2) / denom,
+                2 * (n + alpha) * (n + beta) * (s + 2) / denom)
 
-    return _by_recurrence(k, Polynomial.constant(1), p1, step)
+    return _three_term(k, [(alpha - beta) / 2, (alpha + beta + 2) / 2], row)
 
 
 def _hypergeometric_sums(k: int, tops, bottoms: list[Fraction],
@@ -243,7 +225,9 @@ FAMILY_NAMES = tuple(sorted(_GENERATORS))
 
 def _members(spec: FamilySpec, k: int) -> list[Polynomial]:
     """The members of degree 0..k, from one run of the family's generator."""
-    _check_degree(spec, k)
+    require_int(k, "degree", error=ParameterError)
+    if spec.max_degree is not None and k > spec.max_degree:
+        raise ParameterError(f"{spec.name} has only degrees 0..{spec.max_degree}, got {k}")
     return _GENERATORS[spec.name](spec, k)
 
 

@@ -514,8 +514,10 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) -> SuiteResult:
-    """Run one suite; ``trials`` (an integer >= 1) overrides its draw
-    counts, ``None`` keeps them."""
+    """Run one suite; ``seed`` is any plain integer, ``trials`` (an integer
+    >= 1) overrides its draw counts, ``None`` keeps them."""
+    if type(seed) is not int:
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if trials is not None:
         require_int(trials, "trials", 1, ParameterError)
     key = canonical_name(name)
@@ -526,7 +528,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) ->
 
 def run(suite: str = "all", seed: int = DEFAULT_SEED, trials: int | None = None) -> dict:
     """Run one suite (or all of them) and return a deterministic summary;
-    ``trials`` as in :func:`run_suite`, which checks it."""
+    ``seed`` and ``trials`` as in :func:`run_suite`, which checks them."""
     names = list(SUITE_NAMES) if canonical_name(suite) == "all" else [suite]
     results = [run_suite(name, seed, trials) for name in names]
     return {

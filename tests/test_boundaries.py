@@ -49,6 +49,18 @@ def test_trials_must_be_an_integer_of_at_least_one(call, trials):
         call("stencils", trials=trials)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "7", None])
+@pytest.mark.parametrize("call", [run_suite, run], ids=["run_suite", "run"])
+def test_seed_must_be_an_integer(call, seed):
+    with pytest.raises(ParameterError, match="seed"):
+        call("hermite", seed=seed)
+
+
+def test_negative_seeds_are_accepted():
+    assert run_suite("hermite", seed=-3).ok
+    assert run("hermite", seed=-3)["seed"] == -3
+
+
 def _cli_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

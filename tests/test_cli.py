@@ -263,6 +263,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("isospec: usage error:") and flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--op", "e2", "--params", "1,2,3,4,5,6,"],
+        ["--op", "e2", "--params", "1,,2,3,4,5,6"],
+        ["--op", "e2", "--params", ",1,2,3,4,5,6"],
+        ["--op", "three-point", "--params", "1,2,3,4,,5"],
+    ], ids=["e2-trailing", "e2-inner", "e2-leading", "three-point-inner"])
+    def test_empty_params_fields_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "discretize", *argv, "--delta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("isospec: usage error:") and "--params" in err
+
     def test_unknown_operator_is_named_before_its_flags(self, capsys):
         code, out, err = run_cli(capsys, "discretize", "--op", "bogus", "--params", "1,2",
                                  "--delta", "1")

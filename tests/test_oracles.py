@@ -4,13 +4,16 @@ The continuum families are generated by recurrence, so they are checked here
 against their second-order differential equations; the lattice families are
 generated by terminating hypergeometric sums, so they are checked against
 their three-term recurrences.  Each route is independent of the generation
-route.
+route.  The continuum members are also compared with the recurrences run in
+Polynomial algebra, a route that shares no code with the coefficient lists.
 """
 
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isospec.errors import BasisMismatchError, ParameterError
 from isospec.oracles import (
@@ -210,6 +213,53 @@ class TestMembers:
                 reference_polynomial(spec, k)
             with pytest.raises(ParameterError, match="-1 degenerates at term 2"):
                 _members(spec, k)
+
+
+def polynomial_recurrence(name, alpha, beta, k):
+    """p_0..p_k of a continuum family from its recurrence written in
+    Polynomial algebra, one family at a time."""
+    one = Polynomial.constant(1)
+    if name == "hermite":
+        p1 = 2 * X
+
+        def step(n, cur, prev):
+            return 2 * (X * cur) - (2 * n) * prev
+    elif name == "laguerre":
+        p1 = Polynomial.constant(1 + alpha) - X
+
+        def step(n, cur, prev):
+            return F(1, n + 1) * ((Polynomial.constant(2 * n + 1 + alpha) - X) * cur
+                                  - (n + alpha) * prev)
+    elif name == "legendre":
+        p1 = X
+
+        def step(n, cur, prev):
+            return F(1, n + 1) * ((2 * n + 1) * (X * cur) - n * prev)
+    else:
+        p1 = F(1, 2) * ((alpha + beta + 2) * X + Polynomial.constant(alpha - beta))
+
+        def step(n, cur, prev):
+            s = 2 * n + alpha + beta
+            lead = (s + 1) * (s * (s + 2) * X + Polynomial.constant(alpha**2 - beta**2))
+            back = 2 * (n + alpha) * (n + beta) * (s + 2)
+            denom = 2 * (n + 1) * (n + alpha + beta + 1) * s
+            return (lead * cur - back * prev) * (F(1) / denom)
+    members = [one, p1]
+    for n in range(1, k):
+        members.append(step(n, members[-1], members[-2]))
+    return members[:k + 1]
+
+
+exponents = st.fractions(min_value=-1, max_value=4, max_denominator=9).filter(lambda a: a > -1)
+
+
+class TestContinuumRecurrence:
+    @pytest.mark.parametrize("name", ["hermite", "laguerre", "legendre", "jacobi"])
+    @given(alpha=exponents, beta=exponents, k=st.integers(0, 40))
+    def test_members_match_the_polynomial_algebra_recurrence(self, name, alpha, beta, k):
+        kwargs = {"laguerre": {"alpha": alpha},
+                  "jacobi": {"alpha": alpha, "beta": beta}}.get(name, {})
+        assert _members(family(name, **kwargs), k) == polynomial_recurrence(name, alpha, beta, k)
 
 
 class TestProjectiveEqual:
