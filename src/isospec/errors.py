@@ -61,6 +61,17 @@ def require_int(value, name: str, minimum: int = 0, error: type[Exception] = Val
     return value
 
 
+def require_instance(value, kinds: tuple[type, ...], name: str):
+    """``value`` itself if it is an instance of one of ``kinds``, else raise
+    TypeError naming the types expected and the type given, before a wrong
+    kind of argument fails deeper down with a message about something else."""
+    if not isinstance(value, kinds):
+        expected = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__
+                               for k in kinds)
+        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def unique_keys(pairs, what: str) -> dict:
     """Dict of the ``(key, value)`` pairs read from the wire; a repeated key
     raises ValueError instead of its last value silently winning."""

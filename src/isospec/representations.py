@@ -14,6 +14,11 @@ has a closed form, and realization is term by term with no operator product:
 
     b^m a^n  ->  delta^{-n} * sum_{i=0..n} (-1)^(n-i) C(n, i) x^(m) T^(i-m).
 
+The falling factorial expands by the signed Stirling numbers of the first
+kind, ``x^(m) = sum_j s(m, j) delta^(m-j) x^j``, so every coefficient of a
+realized element is an integer sum over one common denominator, divided
+once.
+
 A :class:`ShiftOperator` is a finite sum ``sum_k p_k(x) * T^k`` with polynomial
 coefficients; composition follows the skew rule ``T^k * q(x) = q(x + k*delta) * T^k``.
 
@@ -23,12 +28,12 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 from .algebra import AlgebraElement
-from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_int, unique_keys,
-                     wire_list, wire_object)
-from .polynomials import MONOMIAL, Basis, Polynomial, _ladder_shift, convert_basis, quasi_basis
+from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_instance,
+                     require_int, unique_keys, wire_list, wire_object)
+from .polynomials import MONOMIAL, Basis, Polynomial, _ladder_shift, convert_basis
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -271,6 +276,16 @@ def lattice_raising(step) -> ShiftOperator:
     return ShiftOperator(step, {-1: Polynomial.identity()})
 
 
+def _stirling_rows(top: int) -> list[list[int]]:
+    """Signed Stirling numbers of the first kind ``s(m, j)``, rows
+    ``m = 0..top``, by ``s(k+1, j) = s(k, j-1) - k*s(k, j)`` (DLMF 26.8): the
+    quasi-monomial of step delta is ``x^(m) = sum_j s(m, j) delta^(m-j) x^j``."""
+    rows = [[1]]
+    for k in range(top):
+        rows.append([lo - k * hi for lo, hi in zip([0] + rows[-1], rows[-1] + [0])])
+    return rows
+
+
 def realize_lattice(element: AlgebraElement, step) -> ShiftOperator:
     """Realize a normal-ordered element as a shift operator on the lattice.
 
@@ -278,19 +293,38 @@ def realize_lattice(element: AlgebraElement, step) -> ShiftOperator:
     closed form, ``c*b^m a^n -> c*delta^{-n} * sum_i (-1)^(n-i) C(n,i) x^(m) T^(i-m)``,
     with no skew product; the map is an exact algebra homomorphism, so the
     defining relation survives: ``[realize(a), realize(b)] = identity``.
+
+    With ``x^(m) = sum_j s(m, j) delta^(m-j) x^j`` (Stirling numbers of the
+    first kind) every coefficient is an integer sum over one denominator.
+    For ``delta = u/q``, ``L`` the lcm of the term denominators, ``N`` the
+    largest ``n`` and ``M`` the largest ``m``, the term adds
+    ``c*L * u^(N-n) * q^(M-m+j) * (-1)^(n-i) C(n,i) s(m,j) u^(m-j) q^n``
+    to the coefficient of ``x^j`` at shift ``i - m``, and each nonzero sum is
+    divided once by ``L * u^N * q^M`` (the sign of ``u^N`` moved up).
     """
+    require_instance(element, (AlgebraElement,), "element")
     step = nonzero_step(step)
-    ladder = quasi_basis(step)
-    rungs: dict[int, Polynomial] = {}  # x^(m) on monomials, once per m
-    out: dict[int, Polynomial] = {}
-    for (m, n), c in element.terms.items():
-        if m not in rungs:
-            rungs[m] = convert_basis(Polynomial.unit_vector(m, ladder), MONOMIAL)
-        scale = c / step**n
+    terms = element.terms
+    u, q = step.numerator, step.denominator
+    top_m = max((m for m, _ in terms), default=0)
+    top_n = max((n for _, n in terms), default=0)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    sign = -1 if u < 0 and top_n % 2 else 1
+    stirling = _stirling_rows(top_m)
+    sums: dict[int, list[int]] = {}
+    for (m, n), c in terms.items():
+        lead = sign * c.numerator * (scale // c.denominator) * u ** (top_n - n) * q ** n
+        row = [s * u ** (m - j) * q ** (top_m - m + j) for j, s in enumerate(stirling[m])]
         for i in range(n + 1):
-            term = ((-1) ** (n - i) * comb(n, i) * scale) * rungs[m]
-            out[i - m] = out[i - m] + term if i - m in out else term
-    return ShiftOperator(step, out)
+            weight = lead * comb(n, i) * (-1) ** (n - i)
+            acc = sums.setdefault(i - m, [])
+            acc += [0] * (m + 1 - len(acc))
+            for j, r in enumerate(row):
+                acc[j] += weight * r
+    den = scale * abs(u) ** top_n * q ** top_m
+    return ShiftOperator(step, {
+        shift: Polynomial([Fraction(a, den) if a else _ZERO for a in acc])
+        for shift, acc in sums.items()})
 
 
 def apply_continuum(element: AlgebraElement, p: Polynomial) -> Polynomial:
@@ -317,7 +351,7 @@ def _continuum_images(element: AlgebraElement, vectors) -> list[list[Fraction]]:
     read: no algebra product and no lattice, so continuum matrices stay an
     independent check of :func:`realize_lattice`.
     """
-    terms = element.terms
+    terms = require_instance(element, (AlgebraElement,), "element").terms
     lift = max((m - n for m, n in terms), default=0)
     images = []
     for v in vectors:

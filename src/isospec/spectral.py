@@ -41,6 +41,7 @@ from .errors import (
     IsospecError,
     SubspaceOverflowError,
     canonical_name,
+    require_instance,
     require_int,
 )
 from .operators import (CLASSICAL_PRESETS, _preset_builder, eigenvalue_convention_note,
@@ -180,6 +181,7 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
     the entries of :func:`matrix_on_basis`: O(d*w) per coefficient rung that
     is a band ``w`` wide, and O(d^2) per other rung.
     """
+    require_instance(op, (ShiftOperator,), "op")
     if basis is None:
         basis = quasi_basis(op.step)
     require_int(degree, "degree bound")
@@ -516,9 +518,17 @@ def stencil_extract(op: ShiftOperator) -> tuple[tuple[int, ...], tuple[Polynomia
 def verify_pointwise(op: ShiftOperator, phi: Polynomial, eigenvalue) -> bool:
     """True iff (op phi)(x) = eigenvalue*phi(x) as a polynomial identity, and
     hence at every point x; checked on phi's own basis."""
-    eigenvalue = as_fraction(eigenvalue)
-    (image,) = op._ladder_images([phi.coeffs], phi.basis)
-    return all(c == eigenvalue * phi.coefficient(i) for i, c in enumerate(image))
+    (verified,) = _eigen_identities(op, phi.basis, [(phi, as_fraction(eigenvalue))])
+    return verified
+
+
+def _eigen_identities(op: ShiftOperator, basis: Basis, pairs) -> list[bool]:
+    """:func:`verify_pointwise` for every ``(phi, eigenvalue)`` pair, all on
+    ``basis``, with one :meth:`ShiftOperator._ladder_images` call, so the
+    operator's coefficients go onto the ladder once for all of them."""
+    images = op._ladder_images([phi.coeffs for phi, _ in pairs], basis)
+    return [all(c == lam * phi.coefficient(i) for i, c in enumerate(image))
+            for (phi, lam), image in zip(pairs, images)]
 
 
 @dataclass(frozen=True)
@@ -564,7 +574,8 @@ def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
     reference family's members 0..k_max, generated in one run.  Each
     eigenvector must match its member projectively; the row is then the
     reference member itself, transported onto the quasi-monomial ladder and
-    verified against the realized lattice operator at its eigenvalue.
+    verified against the realized lattice operator at its eigenvalue, every
+    row in one ladder pass.
     """
     key = canonical_name(name)
     if key.startswith("discrete-"):
@@ -576,16 +587,16 @@ def discrete_family(name: str, step, k_max: int, **params) -> FamilyTable:
     element = second_order_element(builder(**dict(spec.params)))
     lattice_op = realize_lattice(element, step)
     pairs = eigenpairs_triangular(continuum_matrix(element, k_max))
-    entries = []
+    rows = []
     for k, ((lam, phi), ref) in enumerate(zip(pairs, oracles._members(spec, k_max), strict=True)):
         if not oracles.projective_equal(phi, ref):
             raise IsospecError(
                 f"degree-{k} eigenvector disagrees with the {key} reference family"
             )
-        quasi = substitute_quasi(ref, step)
-        monomial = convert_basis(quasi, MONOMIAL)
-        verified = verify_pointwise(lattice_op, quasi, lam)
-        entries.append(FamilyEntry(k, lam, quasi, monomial, verified))
+        rows.append((substitute_quasi(ref, step), lam))
+    verified = _eigen_identities(lattice_op, quasi_basis(step), rows)
+    entries = [FamilyEntry(k, lam, quasi, convert_basis(quasi, MONOMIAL), ok)
+               for k, ((quasi, lam), ok) in enumerate(zip(rows, verified))]
     note = eigenvalue_convention_note(key)
     return FamilyTable(
         name=key,
@@ -628,11 +639,10 @@ def invariant_subspace_check(op, spin: int, step=None) -> SubspaceReport:
     operator (checked on its own lattice and quasi-monomial ladder).
     """
     require_int(spin, "spin")
+    require_instance(op, (AlgebraElement, ShiftOperator), "op")
     if isinstance(op, AlgebraElement):
         if step is not None:
             op = realize_lattice(op, step)
-    elif not isinstance(op, ShiftOperator):
-        raise TypeError("op must be an AlgebraElement or a ShiftOperator")
     elif step is not None and as_fraction(step) != op.step:
         raise IsospecError("step argument disagrees with the operator's step")
     try:

@@ -17,9 +17,9 @@ from isospec.operators import (QesQuadraticForm, SecondOrderParams, classical_pr
 from isospec.oracles import family, reference_polynomial
 from isospec.polynomials import MONOMIAL, Basis, Polynomial, quasi_monomial
 from isospec.rationals import as_fraction, format_fraction, parse_fraction
-from isospec.representations import ShiftOperator
+from isospec.representations import ShiftOperator, apply_continuum, realize_lattice
 from isospec.spectral import (OperatorMatrix, continuum_matrix, discrete_family,
-                              invariant_subspace_check)
+                              invariant_subspace_check, isospectral_check, lattice_matrix)
 from isospec.verify import run, run_suite
 
 
@@ -188,6 +188,23 @@ def test_coefficients_are_not_read_from_text_mappings_or_sets(build):
 def test_term_maps_must_be_mappings(build):
     with pytest.raises(TypeError, match="mapping"):
         build()
+
+
+_OPERATOR = ShiftOperator(1, {1: [1], 0: [-1]})
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: realize_lattice(_OPERATOR, 1), "AlgebraElement"),
+    (lambda: realize_lattice({(1, 0): 1}, 1), "AlgebraElement"),
+    (lambda: continuum_matrix(_OPERATOR, 3), "AlgebraElement"),
+    (lambda: apply_continuum(_OPERATOR, Polynomial.identity()), "AlgebraElement"),
+    (lambda: isospectral_check(_OPERATOR, 1, 3), "AlgebraElement"),
+    (lambda: lattice_matrix(gen_a(), 3), "ShiftOperator"),
+], ids=["realize-operator", "realize-dict", "continuum-matrix", "apply-continuum",
+        "isospectral-check", "lattice-matrix"])
+def test_a_wrong_kind_of_argument_names_the_type_expected(call, expected):
+    with pytest.raises(TypeError, match=f"must be an? {expected}, got "):
+        call()
 
 
 @pytest.mark.parametrize("key", [(1, 0, 2), (1,), (), 5], ids=["triple", "single", "empty", "int"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from isospec.polynomials import Polynomial, quasi_basis, quasi_monomial
 from isospec import verify
 from isospec.representations import (
     ShiftOperator,
+    _stirling_rows,
     apply_continuum,
     backward_difference,
     forward_difference,
@@ -219,6 +221,43 @@ class TestClosedForm:
             realize_lattice(element, 0)
         with pytest.raises(TypeError):
             realize_lattice(element, 0.5)
+
+
+def polynomial_closed_form(element, step):
+    """The closed form on Polynomial values, each x^(m) from quasi_monomial:
+    the reference for realize_lattice's single integer pass."""
+    out = {}
+    for (m, n), c in element.terms.items():
+        rung = quasi_monomial(m, step)
+        for i in range(n + 1):
+            term = ((-1) ** (n - i) * comb(n, i) * c / step**n) * rung
+            out[i - m] = out[i - m] + term if i - m in out else term
+    return ShiftOperator(step, out)
+
+
+class TestIntegerPass:
+    @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=5)
+           .map(AlgebraElement),
+           st.sampled_from((F(1), F(-1), F(3, 7), F(-5, 3), F(9, 8))))
+    def test_equals_the_polynomial_closed_form(self, element, step):
+        assert realize_lattice(element, step) == polynomial_closed_form(element, step)
+
+    @pytest.mark.parametrize("step", (F(1), F(-1), F(3, 7), F(-5, 3), F(9, 8)))
+    def test_stirling_rows_scaled_by_the_step_are_the_quasi_monomials(self, step):
+        rows = _stirling_rows(25)
+        assert len(rows) == 26
+        for m, row in enumerate(rows):
+            assert [s * step ** (m - j) for j, s in enumerate(row)] == list(
+                quasi_monomial(m, step).coeffs)
+
+    def test_a_single_high_term_has_the_expected_denominators(self):
+        # b^3 a^3 at step -5/3: (-3/5)^3 * sum_i (-1)^(3-i) C(3,i) x^(3) T^(i-3)
+        step = F(-5, 3)
+        op = realize_lattice(B ** 3 * A ** 3, step)
+        rung = quasi_monomial(3, step)
+        for i in range(4):
+            assert op.coefficient(i - 3) == (-1) ** (3 - i) * comb(3, i) / step ** 3 * rung
 
 
 class TestSerialization:

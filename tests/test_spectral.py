@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isospec.algebra import AlgebraElement, gen_a, gen_b, sl2_generator, unit
-from isospec import oracles
+from isospec import oracles, spectral
 from isospec.errors import (
     DegenerateSpectrumError,
     IsospecError,
@@ -927,6 +927,26 @@ class TestDiscreteFamily:
             discrete_family("hermite", 1, 5)
         monkeypatch.undo()
         assert discrete_family("hermite", 1, 5).entries[3].verified
+
+    def test_one_batched_check_flags_exactly_the_wrong_rows(self, monkeypatch):
+        # rows of degrees 0..6 go through one ladder pass; a wrong eigenvalue
+        # on rows 2 and 5 must show on those rows and on no other
+        pairs = spectral.eigenpairs_triangular
+
+        def wrong_eigenvalues(matrix):
+            out = pairs(matrix)
+            for k in (2, 5):
+                out[k] = (out[k][0] + 1, out[k][1])
+            return out
+
+        monkeypatch.setattr(spectral, "eigenpairs_triangular", wrong_eigenvalues)
+        step = F(3, 7)
+        table = discrete_family("jacobi", step, 6, alpha=F(1, 2), beta=F(1, 3))
+        assert [e.verified for e in table.entries] == [k not in (2, 5) for k in range(7)]
+        element = second_order_element(classical_preset("jacobi", alpha=F(1, 2), beta=F(1, 3)))
+        op = realize_lattice(element, step)
+        assert [verify_pointwise(op, e.quasi, e.eigenvalue) for e in table.entries] == [
+            e.verified for e in table.entries]
 
     def test_quasi_vectors_are_step_independent(self):
         full = discrete_family("hermite", 1, 3)
