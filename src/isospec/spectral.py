@@ -16,13 +16,16 @@ space; that is the only overflow signal.  The unexported
 Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.
 :func:`char_poly` works on the integer matrix ``L*M`` (``L`` the LCM of the
-denominators) and touches Fractions only to divide the result back.  A
-Hessenberg matrix (triangular ones and the three-point QES blocks included)
-gets the division-free Hessenberg recurrence (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9) over Z; any other (a
-quadratic QES block) gets Hessenberg reduction and the same recurrence
-modulo 62-bit primes, as many as a Hadamard bound fixes in advance, joined
-by the Chinese remainder theorem.
+denominators) and touches Fractions only to divide the result back, by one
+of three division-free kernels.  A Hessenberg matrix (triangular ones and
+the three-point QES blocks included) gets the Hessenberg recurrence (Cohen,
+*A Course in Computational Algebraic Number Theory*, Alg. 2.2.9) over Z.  A
+narrow band (a quadratic QES block, lower and upper bandwidth 2) gets
+Laplace expansion one row at a time over Z, whose states are the columns
+used inside a sliding window (for a tridiagonal matrix, the continuant).
+Any other (a dense matrix built by hand) gets Hessenberg reduction and the
+recurrence modulo 62-bit primes, as many as a Hadamard bound fixes in
+advance, joined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -194,21 +197,38 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
 
     No Fraction arithmetic until the last step: with ``L`` the LCM of the
     denominators, the coefficient of ``lambda^i`` is that of the integer
-    matrix ``A = L*M`` divided by ``L^(n-i)``.  A Hessenberg ``A``
-    (triangular included; a lower one is transposed) goes through the
-    division-free Hessenberg recurrence (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Alg. 2.2.9) over Z.  Any other is reduced to
-    Hessenberg form and run through the recurrence modulo 62-bit primes,
-    joined by the Chinese remainder theorem with a symmetric lift (von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  ``A`` is
-    integral, so its polynomial mod p is that of ``A mod p`` whatever pivots
-    the reduction meets: no prime is bad.
+    matrix ``A = L*M`` divided by ``L^(n-i)``.  Three kernels, all
+    division-free over Z, in this order:
 
-    The primes are fixed in advance: their product exceeds twice the bound
-    ``|c_k| <= C(n,k) * prod(k largest ceil(|row|_2))`` on the coefficient
-    ``c_k`` of ``lambda^(n-k)``.  Proof: ``c_k`` is, up to sign, the sum of
-    the C(n,k) principal k-minors, and by Hadamard's inequality each is at
-    most the product of its rows' norms, each at most its whole row's norm.
+    * a Hessenberg ``A`` (triangular included; a lower one is transposed)
+      goes through the Hessenberg recurrence (Cohen, *A Course in
+      Computational Algebraic Number Theory*, Alg. 2.2.9);
+    * any other ``A`` that is zero outside the band ``-p <= j - i <= q``
+      with ``C(p+q, p) <= 70`` (a quadratic QES block has p = q = 2) goes
+      through Laplace expansion along the rows, one row at a time (Muir,
+      *A Treatise on the Theory of Determinants*; for p = q = 1 it is the
+      continuant recurrence).  After row k every column left of ``k+1-p``
+      is used and exactly p of the window ``k+1-p .. k+q`` are, so the
+      states are the C(p+q, p) such sets, each holding one integer
+      polynomial.  Row k takes a free column c with the factor
+      ``lambda - A[k][k]`` if c == k and ``-A[k][c]`` otherwise, signed by
+      ``(-1)^(used columns right of c)``, and column ``k-p`` must be used by
+      the time the window passes it.  Cost: ``O(n^2 C(p+q, p) (p+q+1))``
+      operations on coefficients.  The cutoff 70, (p, q) = (4, 4), is
+      measured: beyond it, and for small entries, the next kernel wins;
+    * any other (a dense matrix) is reduced to Hessenberg form and run
+      through the recurrence modulo 62-bit primes, joined by the Chinese
+      remainder theorem with a symmetric lift (von zur Gathen and Gerhard,
+      *Modern Computer Algebra*, ch. 5).  ``A`` is integral, so its
+      polynomial mod p is that of ``A mod p`` whatever pivots the reduction
+      meets: no prime is bad.
+
+    On that last path the primes are fixed in advance: their product
+    exceeds twice the bound ``|c_k| <= C(n,k) * prod(k largest
+    ceil(|row|_2))`` on the coefficient ``c_k`` of ``lambda^(n-k)``.  Proof:
+    ``c_k`` is, up to sign, the sum of the C(n,k) principal k-minors, and by
+    Hadamard's inequality each is at most the product of its rows' norms,
+    each at most its whole row's norm.
     """
     n = matrix.size
     denominators = {x.denominator for row in matrix.entries for x in row}
@@ -217,10 +237,15 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
     a = [[x.numerator * factor[x.denominator] for x in row] for row in matrix.entries]
     if not any(any(a[i][i + 2:]) for i in range(n)):  # lower Hessenberg
         coeffs = _hessenberg_char_poly([list(column) for column in zip(*a)])
-    elif any(any(a[i][:i - 1]) for i in range(2, n)):
-        coeffs = _multimodular_char_poly(a)
-    else:
+    elif not any(any(a[i][:i - 1]) for i in range(2, n)):  # upper Hessenberg
         coeffs = _hessenberg_char_poly(a)
+    else:
+        offsets = [j - i for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        lower, upper = -min(offsets), max(offsets)
+        if math.comb(lower + upper, lower) <= _BAND_STATES:
+            coeffs = _band_char_poly(a, lower, upper)
+        else:
+            coeffs = _multimodular_char_poly(a)
     return Polynomial([Fraction(c, lcm ** (n - i)) for i, c in enumerate(coeffs)])
 
 
@@ -254,6 +279,64 @@ def _hessenberg_char_poly(h: list[list[int]], modulus: int = 0) -> list[int]:
             p = [x % modulus for x in p]
         polys.append(p)
     return polys[-1]
+
+
+# the band kernel's state count C(p+q, p) up to which it runs instead of the
+# multimodular path: measured on random integer band matrices, the band
+# kernel wins at every size from (p, q) = (2, 2), C = 6, to (4, 4), C = 70,
+# once n >= 40 or the entries reach 20 digits, and loses at most a few ms
+# below that; at (4, 5), C = 126, and beyond, small entries make it the slower
+_BAND_STATES = 70
+
+
+def _band_char_poly(a: list[list[int]], lower: int, upper: int) -> list[int]:
+    """Coefficients, lowest degree first, of det(lambda*I - A) for an integer
+    matrix A with ``A[i][j] == 0`` unless ``-lower <= j - i <= upper``, by
+    Laplace expansion along the rows, one row at a time, division-free."""
+    # a partial expansion over rows 0..k-1 has used every column left of
+    # k-lower and `lower` columns of the window k-lower .. k-1+upper; bit i of
+    # `mask` marks window column k-lower+i (columns left of 0 count as used),
+    # so the states are the C(lower+upper, lower) masks, each holding the sum
+    # of its signed products.  Row k takes a free column c and a factor
+    # lambda - a[k][k] (c == k) or -a[k][c], with sign (-1)^(used columns
+    # right of c): the inversions it adds.  Column k-lower leaves the window
+    # after row k, so a state that has not used it must take it in row k (any
+    # other choice leaves lower+1 used columns in the window, a state that
+    # never reaches the end).  For a tridiagonal A this is the continuant.
+    n = len(a)
+    used = (1 << lower) - 1
+    states = {used: [1]}
+    moves = {}  # mask -> (window position, next mask, sign is odd) per free column
+    for k in range(n):
+        row, base = a[k], k - lower
+        following = {}
+        for mask, poly in states.items():
+            steps = moves.get(mask)
+            if steps is None:
+                steps = moves[mask] = [
+                    (i, (mask | 1 << i) >> 1, (mask >> i + 1).bit_count() & 1)
+                    for i in (range(lower + upper + 1) if mask & 1 else (0,))
+                    if not mask >> i & 1]
+            for i, target, odd in steps:
+                if base + i >= n:
+                    break
+                x = row[base + i]
+                if i == lower:
+                    term = [(x * y - z if odd else z - x * y)
+                            for z, y in zip([0] + poly, poly + [0])]
+                elif x:
+                    x = x if odd else -x
+                    term = [x * y for y in poly]
+                else:
+                    continue
+                old = following.get(target)
+                if old is not None:
+                    if len(old) > len(term):
+                        old, term = term, old
+                    term = [u + v for u, v in zip(term, old)] + term[len(old):]
+                following[target] = term
+        states = following
+    return states[used]
 
 
 def _hessenberg_mod(a: list[list[int]], p: int) -> list[list[int]]:

@@ -233,6 +233,31 @@ def shaped_matrices(draw, shape):
     return rows
 
 
+_big_entries = st.builds(lambda sign, size, q: F(sign * size, q), st.sampled_from((1, -1)),
+                         st.integers(10**34, 10**40), st.integers(1, 9))
+
+
+@st.composite
+def band_matrices(draw):
+    """(lower, upper, rows): a square matrix of size 0..12 that is zero unless
+    -lower <= j - i <= upper, lower 2..4 and upper 0..4.  Entries are zero,
+    small, or of 35 to 40 digits; some diagonal entries are zeroed, and at
+    each cut every entry coupling the rows and columns before it to those
+    after it is zeroed, so the matrix splits into diagonal blocks."""
+    n = draw(st.integers(0, 12))
+    lower, upper = draw(st.integers(2, 4)), draw(st.integers(0, 4))
+    entry = st.one_of(_sparse_entries, _big_entries)
+    rows = [[draw(entry) if -lower <= j - i <= upper else F(0) for j in range(n)]
+            for i in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)) if n else ():
+        rows[i][i] = F(0)
+    for cut in draw(st.sets(st.integers(1, n - 1), max_size=2)) if n >= 2 else ():
+        for i in range(cut):
+            for j in range(cut, n):
+                rows[i][j] = rows[j][i] = F(0)
+    return lower, upper, rows
+
+
 class TestMatrix:
     def test_hermite_matrix_degree_three(self):
         matrix = continuum_matrix(HERMITE, 3)
@@ -618,13 +643,46 @@ class TestCharPoly:
         step = F(-5, 3)
         form = QesQuadraticForm(30, *(rand_fraction(rng, nonzero=True) for _ in range(10)))
         params = ThreePointParams(*(rand_fraction(rng) for _ in range(5)), step=step)
-        # lower bandwidth 2 (multimodular) and 1 (the recurrence over Z)
+        # lower bandwidth 2 (the band recurrence) and 1 (the Hessenberg recurrence)
         for element in (qes_quadratic_element(form),
                         qes_three_point_element(rand_fraction(rng, nonzero=True), params, 30)):
             for report in (invariant_subspace_check(element, 30),
                            invariant_subspace_check(element, 30, step)):
                 block = [list(row) for row in report.block.entries]
                 assert list(report.block_char_poly.coeffs) == fraction_hessenberg_char_poly(block)
+
+    @given(band_matrices())
+    def test_band_matrices_agree_with_gaussian_elimination(self, drawn):
+        lower, upper, rows = drawn
+        n = len(rows)
+        expected = reference_char_poly(rows)
+        matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
+        assert list(char_poly(matrix).coeffs) == expected
+        # the kernel itself, on the integer matrix L*M and the drawn band,
+        # which may be wider than the matrix's own
+        lcm = math.lcm(1, *(c.denominator for row in rows for c in row))
+        ints = [[int(c * lcm) for c in row] for row in rows]
+        scaled = [c * lcm ** (n - i) for i, c in enumerate(expected)]
+        assert spectral._band_char_poly(ints, lower, upper) == scaled
+
+    def test_band_matrices_skip_the_primes(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(a):
+            raise Reached
+
+        monkeypatch.setattr(spectral, "_multimodular_char_poly", reached)
+        rng = random.Random(18)
+        form = QesQuadraticForm(18, *(rand_fraction(rng, nonzero=True) for _ in range(10)))
+        report = invariant_subspace_check(qes_quadratic_element(form), 18)
+        block = [list(row) for row in report.block.entries]
+        assert any(block[i][i - 2] for i in range(2, len(block)))  # not Hessenberg
+        assert list(report.block_char_poly.coeffs) == fraction_hessenberg_char_poly(block)
+        dense = tuple(tuple(rand_fraction(rng, nonzero=True) for _ in range(10))
+                      for _ in range(10))
+        with pytest.raises(Reached):
+            char_poly(OperatorMatrix(MONOMIAL, dense))
 
     @pytest.mark.parametrize("size", [5, 6, 7, 8])
     def test_large_entries_need_many_primes(self, size):
@@ -670,14 +728,19 @@ class TestCharPoly:
             import threading
             from fractions import Fraction as F
             from isospec import spectral
-            from isospec.operators import QesQuadraticForm, qes_quadratic_element
+            from isospec.polynomials import MONOMIAL
 
-            form = QesQuadraticForm(40, *(F(k % 7 + 1, k % 3 + 1) for k in range(10)))
-            matrix = spectral.continuum_matrix(qes_quadratic_element(form), 40)
+            # dense, with 30-digit entries: the multimodular path, many primes
+            matrix = spectral.OperatorMatrix(MONOMIAL, tuple(
+                tuple(F((i * 7 + j * 3) % 11 - 5, 1 + (i + j) % 4) * 10**30 + i - j
+                      for j in range(12))
+                for i in range(12)))
             barrier, seen = threading.Barrier(2, timeout=60), threading.local()
             is_prime = spectral._is_prime
+            calls = []
 
             def first_call_waits(n):
+                calls.append(n)
                 if not hasattr(seen, "waited"):
                     seen.waited = True
                     barrier.wait()
@@ -696,14 +759,16 @@ class TestCharPoly:
             for thread in threads:
                 thread.join()
             spectral._is_prime = is_prime
-            print(out == [spectral.char_poly(matrix)] * 2, out[0] if out else None)
+            print(out == [spectral.char_poly(matrix)] * 2, len(calls), out[0] if out else None)
         """)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("True"), done.stdout
+        agree, calls = done.stdout.split()[:2]
+        assert agree == "True", done.stdout
+        assert int(calls) >= 2, done.stdout  # both threads looked for a prime
 
 
 class TestEigenpairs:
