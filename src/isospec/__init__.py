@@ -36,7 +36,6 @@ from .operators import (
     qes_quadratic_element,
     qes_three_point_element,
     qes_three_point_operator,
-    second_order_diagonal,
     second_order_element,
     second_order_stencil,
     three_point_diagonal,

@@ -54,10 +54,11 @@ from .polynomials import MONOMIAL, quasi_basis
 from .rationals import format_fraction, parse_fraction
 from .representations import ShiftOperator, realize_lattice
 from .spectral import (
+    _spectral_report,
+    char_poly,
     continuum_matrix,
     discrete_family,
     lattice_matrix,
-    spectral_report,
     stencil_extract,
 )
 
@@ -280,23 +281,28 @@ def _cmd_spectrum(args) -> int:
         if args.basis is not None:
             raise UsageError("--basis applies only to lattice spectra; give --delta")
         matrix = continuum_matrix(element, degree)
+        cp = char_poly(matrix)
         representation = "continuum"
     else:
         if shift_op is None:
             shift_op = realize_lattice(element, step)
+        own = quasi_basis(shift_op.step)
         if args.basis == "monomial":
             basis = MONOMIAL
         elif args.basis == "quasi":
-            basis = quasi_basis(shift_op.step)
+            basis = own
         elif element is not None:
             # realized from an abstract element: the isospectral ladder view
-            basis = quasi_basis(shift_op.step)
+            basis = own
         else:
             # lattice-native family: its own variable
             basis = MONOMIAL
         matrix = lattice_matrix(shift_op, degree, basis=basis)
+        # a change of basis is a similarity, so the char poly is taken on the
+        # own ladder, where the matrix is banded or triangular
+        cp = char_poly(matrix if basis == own else lattice_matrix(shift_op, degree))
         representation = "lattice"
-    report = spectral_report(matrix, notes=tuple(notes))
+    report = _spectral_report(matrix, cp, notes=tuple(notes))
     obj = {"operator": name, "representation": representation, "degree": degree}
     obj.update(report.to_json_obj())
     if args.format == "text":

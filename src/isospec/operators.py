@@ -34,7 +34,6 @@ __all__ = [
     "SecondOrderParams",
     "second_order_element",
     "second_order_stencil",
-    "second_order_diagonal",
     "classical_preset",
     "CLASSICAL_PRESETS",
     "QesQuadraticForm",
@@ -109,11 +108,6 @@ def second_order_stencil(p: SecondOrderParams, step) -> ShiftOperator:
         -2: -at0 * rung,
     }
     return ShiftOperator(step, terms)
-
-
-def second_order_diagonal(p: SecondOrderParams, k: int) -> Fraction:
-    """Matrix diagonal at degree ``k``: ``-a0*k*(k-1) + b0*k + c0``."""
-    return -p.a0 * k * (k - 1) + p.b0 * k + p.c0
 
 
 def _preset_hermite() -> SecondOrderParams:

@@ -219,14 +219,6 @@ class Polynomial:
             acc += c * ladder
         return acc
 
-    def derivative(self) -> "Polynomial":
-        if not self.basis.is_monomial:
-            raise BasisMismatchError("derivative is defined on the monomial basis")
-        return Polynomial(
-            (i * self._coeffs[i] for i in range(1, len(self._coeffs))),
-            self.basis,
-        )
-
     def shifted(self, amount) -> "Polynomial":
         """``p(x + amount)`` (monomial basis): :func:`_ladder_shift` at
         ``s = 0`` with the one rung ``(0, 1, amount)``, which spreads ``c_j x^j``

@@ -17,25 +17,21 @@ Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.
 :func:`char_poly` works on the integer matrix ``L*M`` (``L`` the LCM of the
 denominators) and touches Fractions only to divide the result back, by one
-of three division-free kernels.  A Hessenberg matrix (triangular ones and
-the three-point QES blocks included) gets the Hessenberg recurrence (Cohen,
-*A Course in Computational Algebraic Number Theory*, Alg. 2.2.9) over Z.  A
+of three division-free kernels over Z.  A Hessenberg matrix (triangular ones
+and the three-point QES blocks included) gets the Hessenberg recurrence
+(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).  A
 narrow band (a quadratic QES block, lower and upper bandwidth 2) gets
-Laplace expansion one row at a time over Z, whose states are the columns
-used inside a sliding window (for a tridiagonal matrix, the continuant).
-Any other (a dense matrix built by hand) gets Hessenberg reduction and the
-recurrence modulo 62-bit primes, as many as a Hadamard bound fixes in
-advance, joined by the Chinese remainder theorem.
+Laplace expansion one row at a time, whose states are the columns used
+inside a sliding window (for a tridiagonal matrix, the continuant).  Any
+other (a dense matrix built by hand) gets Berkowitz's algorithm.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from operator import mul
 
 from .algebra import AlgebraElement
 from .errors import (
@@ -204,7 +200,7 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
       goes through the Hessenberg recurrence (Cohen, *A Course in
       Computational Algebraic Number Theory*, Alg. 2.2.9);
     * any other ``A`` that is zero outside the band ``-p <= j - i <= q``
-      with ``C(p+q, p) <= 70`` (a quadratic QES block has p = q = 2) goes
+      with ``C(p+q, p) <= 126`` (a quadratic QES block has p = q = 2) goes
       through Laplace expansion along the rows, one row at a time (Muir,
       *A Treatise on the Theory of Determinants*; for p = q = 1 it is the
       continuant recurrence).  After row k every column left of ``k+1-p``
@@ -214,21 +210,13 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
       ``lambda - A[k][k]`` if c == k and ``-A[k][c]`` otherwise, signed by
       ``(-1)^(used columns right of c)``, and column ``k-p`` must be used by
       the time the window passes it.  Cost: ``O(n^2 C(p+q, p) (p+q+1))``
-      operations on coefficients.  The cutoff 70, (p, q) = (4, 4), is
-      measured: beyond it, and for small entries, the next kernel wins;
-    * any other (a dense matrix) is reduced to Hessenberg form and run
-      through the recurrence modulo 62-bit primes, joined by the Chinese
-      remainder theorem with a symmetric lift (von zur Gathen and Gerhard,
-      *Modern Computer Algebra*, ch. 5).  ``A`` is integral, so its
-      polynomial mod p is that of ``A mod p`` whatever pivots the reduction
-      meets: no prime is bad.
-
-    On that last path the primes are fixed in advance: their product
-    exceeds twice the bound ``|c_k| <= C(n,k) * prod(k largest
-    ceil(|row|_2))`` on the coefficient ``c_k`` of ``lambda^(n-k)``.  Proof:
-    ``c_k`` is, up to sign, the sum of the C(n,k) principal k-minors, and by
-    Hadamard's inequality each is at most the product of its rows' norms,
-    each at most its whole row's norm.
+      operations on coefficients.  The cutoff 126, (p, q) = (4, 5), is
+      measured: beyond it the next kernel wins;
+    * any other ``A`` (a dense matrix) goes through Berkowitz's algorithm
+      (Berkowitz, *Inf. Process. Lett.* 18, 1984): the polynomial of each
+      leading principal block is that of the one before it times a Toeplitz
+      matrix of the products ``R A_r^k S`` of the new row, the block and the
+      new column.  Cost: ``O(n^4)`` operations on integers.
     """
     n = matrix.size
     denominators = {x.denominator for row in matrix.entries for x in row}
@@ -245,14 +233,13 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
         if math.comb(lower + upper, lower) <= _BAND_STATES:
             coeffs = _band_char_poly(a, lower, upper)
         else:
-            coeffs = _multimodular_char_poly(a)
+            coeffs = _berkowitz_char_poly(a)
     return Polynomial([Fraction(c, lcm ** (n - i)) for i, c in enumerate(coeffs)])
 
 
-def _hessenberg_char_poly(h: list[list[int]], modulus: int = 0) -> list[int]:
+def _hessenberg_char_poly(h: list[list[int]]) -> list[int]:
     """Coefficients, lowest degree first, of det(lambda*I - H) for an upper
-    Hessenberg integer matrix H, by the division-free Hessenberg recurrence:
-    over Z when ``modulus`` is 0, else reduced modulo it."""
+    Hessenberg integer matrix H, by the division-free Hessenberg recurrence."""
     # p_{k+1} = (lambda - h[k][k]) p_k - sum_{i<k} h[i][k] (prod_{j=i+1..k} h[j][j-1]) p_i
     # (0-based), the sum in Horner form, acc <- (acc + h[i][k] p_i) h[i+1][i], from
     # the first nonzero h[i][k] after the last zero subdiagonal entry: each
@@ -269,24 +256,19 @@ def _hessenberg_char_poly(h: list[list[int]], modulus: int = 0) -> list[int]:
         for i in range(first, k):
             a, s = h[i][k], h[i + 1][i]
             acc.append(0)
-            if modulus:
-                acc = [(x + a * y) * s % modulus for x, y in zip(acc, polys[i])]
-            else:
-                acc = [(x + a * y) * s for x, y in zip(acc, polys[i])]
+            acc = [(x + a * y) * s for x, y in zip(acc, polys[i])]
         prev, diag = polys[k], h[k][k]
-        p = [x - diag * y - z for x, y, z in zip([0] + prev, prev + [0], acc + [0, 0])]
-        if modulus:
-            p = [x % modulus for x in p]
-        polys.append(p)
+        polys.append([x - diag * y - z for x, y, z in zip([0] + prev, prev + [0], acc + [0, 0])])
     return polys[-1]
 
 
-# the band kernel's state count C(p+q, p) up to which it runs instead of the
-# multimodular path: measured on random integer band matrices, the band
-# kernel wins at every size from (p, q) = (2, 2), C = 6, to (4, 4), C = 70,
-# once n >= 40 or the entries reach 20 digits, and loses at most a few ms
-# below that; at (4, 5), C = 126, and beyond, small entries make it the slower
-_BAND_STATES = 70
+# the band kernel's state count C(p+q, p) up to which it runs instead of
+# Berkowitz's: measured on random integer band matrices with 1- and 20-digit
+# entries, the band kernel wins at n = 60 on every shape up to (4, 5), C = 126
+# (1.6-3.5x there, 40-80x at (2, 2)), and Berkowitz's, whose O(n^4) ignores
+# the zeros, wins from (5, 5), C = 252, on; at n = 20 the band kernel loses
+# from about C = 70 on, by at most 15 ms
+_BAND_STATES = 126
 
 
 def _band_char_poly(a: list[list[int]], lower: int, upper: int) -> list[int]:
@@ -339,105 +321,25 @@ def _band_char_poly(a: list[list[int]], lower: int, upper: int) -> list[int]:
     return states[used]
 
 
-def _hessenberg_mod(a: list[list[int]], p: int) -> list[list[int]]:
-    """An upper Hessenberg matrix similar to ``a`` mod the prime ``p``, by
-    Gaussian similarity transforms: column m-1 is cleared below row m with
-    row m as pivot, swapped in from below when zero, and skipped when the
-    whole column below is zero."""
-    n = len(a)
-    h = [[x % p for x in row] for row in a]
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            h[pivot], h[m] = h[m], h[pivot]
-            for row in h:
-                row[pivot], row[m] = row[m], row[pivot]
-        row_m = h[m]
-        inverse = pow(row_m[m - 1], -1, p)
-        end = n  # row m is zero left of column m-1 and from column end on
-        while not row_m[end - 1]:
-            end -= 1
-        for i in range(m + 1, n):
-            row_i = h[i]
-            if not row_i[m - 1]:
-                continue
-            u = row_i[m - 1] * inverse % p
-            row_i[m - 1:end] = [(x - u * y) % p for x, y in zip(row_i[m - 1:end], row_m[m - 1:end])]
-            for row in compress(h, map(itemgetter(i), h)):  # rows nonzero in column i
-                row[m] = (row[m] + u * row[i]) % p
-    return h
-
-
-def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
-    """Coefficients, lowest degree first, of det(lambda*I - A) for an integer
-    matrix A, from its polynomials modulo enough primes joined by the Chinese
-    remainder theorem; see :func:`char_poly` for the prime count."""
-    need = 2 * _coefficient_bound(a)
-    residues = [0] * (len(a) + 1)
-    modulus = 1
-    count = 0
-    while modulus <= need:
-        p = _prime(count)
-        count += 1
-        image = _hessenberg_char_poly(_hessenberg_mod(a, p), p)
-        # x' = x + modulus * ((y - x) / modulus mod p): x' = x mod modulus, y mod p
-        inverse = pow(modulus, -1, p)
-        residues = [x + modulus * ((y - x) * inverse % p) for x, y in zip(residues, image)]
-        modulus *= p
-    half = modulus // 2
-    return [x - modulus if x > half else x for x in residues]
-
-
-def _coefficient_bound(a: list[list[int]]) -> int:
-    """The largest over k of ``C(n,k) * prod(k largest ceil(|row|_2))``, a
-    bound on every coefficient of det(lambda*I - A); see :func:`char_poly`."""
-    n = len(a)
-    squares = (sum(x * x for x in row) for row in a)
-    norms = sorted((math.isqrt(s - 1) + 1 if s else 0 for s in squares), reverse=True)
-    bound = product = 1
-    for k, norm in enumerate(norms, 1):
-        product *= norm
-        bound = max(bound, math.comb(n, k) * product)
-    return bound
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@functools.cache
-def _prime(index: int) -> int:
-    """The ``index``-th prime below 2**62 counting down, made on first use
-    and never at import.  Each value is a pure function of its index, so two
-    threads that race on one index both compute the same prime; callers ask
-    for indices in order, so the recursion is one level deep."""
-    q = _prime(index - 1) - 2 if index else 2**62 - 1
-    while not _is_prime(q):
-        q -= 2
-    return q
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 12 primes as witnesses: deterministic for
-    odd n > 37 below 3.3*10**24."""
-    if any(n % w == 0 for w in _WITNESSES):
-        return False
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for w in _WITNESSES:
-        x = pow(w, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _berkowitz_char_poly(a: list[list[int]]) -> list[int]:
+    """Coefficients, lowest degree first, of det(lambda*I - A) for any square
+    integer matrix A, by Berkowitz's division-free algorithm."""
+    # with A_r the leading r x r block, R the row a[r][:r] and S the column
+    # a[:r][r], the coefficients of det(lambda*I - A_{r+1}), highest degree
+    # first, are the first r+2 of those of det(lambda*I - A_r) times the
+    # series 1, -a[r][r], -R S, -R A_r S, .., -R A_r^(r-1) S: a Toeplitz
+    # matrix times a vector, over Z
+    poly = [1]  # highest degree first
+    columns = list(zip(*a))
+    for r, row in enumerate(a):
+        block = [column[:r] for column in columns[:r]]
+        above = columns[r][:r]
+        w, c = row[:r], [1, -row[r]]
+        for _ in range(r):  # w = R A_r^k
+            c.append(-sum(map(mul, w, above)))
+            w = [sum(map(mul, w, column)) for column in block]
+        poly = [sum(map(mul, c[k::-1], poly)) for k in range(r + 2)]
+    return poly[::-1]
 
 
 def eigenpairs_triangular(matrix: OperatorMatrix) -> list[tuple[Fraction, Polynomial]]:
@@ -515,7 +417,13 @@ def spectral_report(matrix: OperatorMatrix, notes: tuple[str, ...] = ()) -> Spec
     """Characteristic polynomial plus eigenpairs when the matrix is
     triangular with simple spectrum; degeneracy becomes a warning, not an
     error."""
-    cp = char_poly(matrix)
+    return _spectral_report(matrix, char_poly(matrix), notes)
+
+
+def _spectral_report(matrix: OperatorMatrix, cp: Polynomial,
+                     notes: tuple[str, ...]) -> SpectralReport:
+    """:func:`spectral_report` with the characteristic polynomial ``cp``
+    given, so that it can be taken on any matrix similar to ``matrix``."""
     triangular = matrix.is_upper_triangular
     pairs = None
     warning = None

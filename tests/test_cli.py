@@ -7,7 +7,9 @@ import pytest
 
 from isospec.cli import main
 from isospec.operators import classical_preset, second_order_element
+from isospec.polynomials import Basis
 from isospec.representations import ShiftOperator, realize_lattice
+from isospec.spectral import OperatorMatrix, char_poly
 from isospec.verify import SUITES, CheckResult, SuiteResult
 
 
@@ -98,6 +100,25 @@ class TestSpectrum:
         blob = json.loads(out)
         assert blob["eigenpairs"] is None
         assert "degenerate" in blob["warning"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--op", "qes2", "--spin", "8", "--params", "1,-2,3/2,1/3,-1,2,5/4,-3,1/2,2",
+         "--delta", "3/7", "--basis", "monomial"],
+        ["--op", "qes3", "--spin", "8", "--aplus", "2", "--params", "1,2,3,4,5",
+         "--delta", "1/2"],
+        ["--op", "qes3", "--spin", "8", "--aplus", "2", "--params", "1,2,3,4,5",
+         "--delta", "1/2", "--basis", "quasi"],
+        ["--op", "hermite", "--degree", "6", "--delta", "1/2", "--basis", "monomial"],
+    ])
+    def test_lattice_char_poly_is_that_of_the_printed_matrix(self, capsys, argv):
+        # the char poly may be taken on the operator's own ladder; a change of
+        # basis is a similarity, so it must be that of the matrix printed
+        code, out, _ = run_cli(capsys, "spectrum", *argv, "--degree", "8")
+        assert code == 0
+        blob = json.loads(out)
+        entries = tuple(tuple(F(c) for c in row) for row in blob["matrix"]["entries"])
+        matrix = OperatorMatrix(Basis.from_json_obj(blob["matrix"]["basis"]), entries)
+        assert [F(c) for c in blob["char_poly"]] == list(char_poly(matrix).coeffs)
 
     def test_lattice_view_of_an_element(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--op", "hermite",

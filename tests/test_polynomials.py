@@ -173,9 +173,6 @@ class TestArithmetic:
         with pytest.raises(BasisMismatchError):
             Polynomial((1,)) + Polynomial((1,), quasi_basis(1))
 
-    def test_derivative(self):
-        assert Polynomial((5, 3, 0, 2)).derivative() == Polynomial((3, 0, 6))
-
     def test_shift_by_one(self):
         assert Polynomial((0, 0, 1)).shifted(1) == Polynomial((1, 2, 1))
 

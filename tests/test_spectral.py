@@ -1,11 +1,7 @@
 """Matrices, characteristic polynomials, certificates, families."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 from math import perm
 
@@ -48,7 +44,6 @@ from isospec.spectral import (
     substitute_quasi,
     verify_pointwise,
 )
-from isospec.spectral import _coefficient_bound
 
 STEPS = (F(1), F(-1), F(1, 2), F(3, 7))
 
@@ -172,12 +167,6 @@ def fraction_hessenberg_char_poly(rows):
                 p[idx] -= h[i - 1][k - 1] * t * q
         polys.append(p)
     return polys[n]
-
-
-def integer_matrix(rows):
-    """``rows`` times the LCM of their denominators, as integer Fractions."""
-    lcm = math.lcm(*(c.denominator for row in rows for c in row))
-    return [[c * lcm for c in row] for row in rows]
 
 
 def sylvester_hadamard(n):
@@ -665,14 +654,24 @@ class TestCharPoly:
         scaled = [c * lcm ** (n - i) for i, c in enumerate(expected)]
         assert spectral._band_char_poly(ints, lower, upper) == scaled
 
-    def test_band_matrices_skip_the_primes(self, monkeypatch):
+    @given(st.integers(0, 10).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(_sparse_entries, _big_entries), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_berkowitz_agrees_with_gaussian_elimination(self, rows):
+        n = len(rows)
+        lcm = math.lcm(1, *(c.denominator for row in rows for c in row))
+        ints = [[int(c * lcm) for c in row] for row in rows]
+        scaled = [c * lcm ** (n - i) for i, c in enumerate(reference_char_poly(rows))]
+        assert spectral._berkowitz_char_poly(ints) == scaled
+
+    def test_band_matrices_skip_berkowitz(self, monkeypatch):
         class Reached(Exception):
             pass
 
         def reached(a):
             raise Reached
 
-        monkeypatch.setattr(spectral, "_multimodular_char_poly", reached)
+        monkeypatch.setattr(spectral, "_berkowitz_char_poly", reached)
         rng = random.Random(18)
         form = QesQuadraticForm(18, *(rand_fraction(rng, nonzero=True) for _ in range(10)))
         report = invariant_subspace_check(qes_quadratic_element(form), 18)
@@ -685,90 +684,27 @@ class TestCharPoly:
             char_poly(OperatorMatrix(MONOMIAL, dense))
 
     @pytest.mark.parametrize("size", [5, 6, 7, 8])
-    def test_large_entries_need_many_primes(self, size):
-        # numerators of 35 to 40 digits: the bound asks for ten primes or more
+    def test_large_entries_agree_with_gaussian_elimination(self, size):
+        # numerators of 35 to 40 digits
         rng = random.Random(size)
         rows = [[F(rng.randint(-10**40, 10**40) // 10**rng.randint(0, 5), rng.randint(1, 9))
                  for _ in range(size)] for _ in range(size)]
-        ints = [[int(c) for c in row] for row in integer_matrix(rows)]
-        assert 2 * _coefficient_bound(ints) >= 2 ** (62 * 9)
         matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
         assert list(char_poly(matrix).coeffs) == reference_char_poly(rows)
 
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_hadamard_matrices_meet_the_bound(self, size):
-        # (s/q)*H has eigenvalues +-sqrt(size)*s/q, each size/2 times; the
-        # integer matrix s*H has |det| equal to the bound at size 4 and within
-        # a factor 1 + 10^-44 of it otherwise, so on the multimodular path
-        # (sizes 4 and 8) one prime fewer than the bound asks for lifts the
-        # determinant wrongly
+        # (s/q)*H has eigenvalues +-sqrt(size)*s/q, each size/2 times, and
+        # |det| as large as Hadamard's inequality allows; with 45-digit
+        # entries, size 4 takes the band kernel and size 8 Berkowitz's
         s, q = 10**45 + 7, 7
         hadamard = sylvester_hadamard(size)
         scaled = [[s * c for c in row] for row in hadamard]
-        if size == 4:
-            assert s**4 * 16 == _coefficient_bound(scaled)
         matrix = OperatorMatrix(MONOMIAL, tuple(tuple(F(c, q) for c in row) for row in scaled))
         expected = Polynomial.constant(1)
         for _ in range(size // 2):
             expected = expected * Polynomial((-size * F(s, q) ** 2, 0, 1))
         assert char_poly(matrix) == expected
-
-    @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
-    @given(st.data())
-    def test_bound_dominates_every_coefficient(self, shape, data):
-        ints = integer_matrix(data.draw(shaped_matrices(shape)))
-        bound = _coefficient_bound([[int(c) for c in row] for row in ints])
-        assert all(abs(c) <= bound for c in reference_char_poly(ints))
-
-    def test_threads_that_meet_on_the_first_prime_agree(self):
-        # a fresh interpreter, so the primes are made during the test; each
-        # thread waits at its first primality test until the other reaches
-        # its own, so both look for the first prime at the same time
-        script = textwrap.dedent("""
-            import threading
-            from fractions import Fraction as F
-            from isospec import spectral
-            from isospec.polynomials import MONOMIAL
-
-            # dense, with 30-digit entries: the multimodular path, many primes
-            matrix = spectral.OperatorMatrix(MONOMIAL, tuple(
-                tuple(F((i * 7 + j * 3) % 11 - 5, 1 + (i + j) % 4) * 10**30 + i - j
-                      for j in range(12))
-                for i in range(12)))
-            barrier, seen = threading.Barrier(2, timeout=60), threading.local()
-            is_prime = spectral._is_prime
-            calls = []
-
-            def first_call_waits(n):
-                calls.append(n)
-                if not hasattr(seen, "waited"):
-                    seen.waited = True
-                    barrier.wait()
-                return is_prime(n)
-
-            spectral._is_prime = first_call_waits
-            out = []
-            def run():
-                try:
-                    out.append(spectral.char_poly(matrix))
-                except Exception as exc:
-                    out.append(repr(exc))
-            threads = [threading.Thread(target=run) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            spectral._is_prime = is_prime
-            print(out == [spectral.char_poly(matrix)] * 2, len(calls), out[0] if out else None)
-        """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        agree, calls = done.stdout.split()[:2]
-        assert agree == "True", done.stdout
-        assert int(calls) >= 2, done.stdout  # both threads looked for a prime
 
 
 class TestEigenpairs:
