@@ -664,6 +664,18 @@ class TestCharPoly:
         scaled = [c * lcm ** (n - i) for i, c in enumerate(reference_char_poly(rows))]
         assert spectral._berkowitz_char_poly(ints) == scaled
 
+    @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
+    @given(st.data())
+    def test_berkowitz_agrees_on_every_shape(self, shape, data):
+        # char_poly sends most of these shapes to the Hessenberg or band
+        # kernel; the Berkowitz kernel must still be right on their zeros
+        rows = data.draw(shaped_matrices(shape))
+        n = len(rows)
+        lcm = math.lcm(1, *(c.denominator for row in rows for c in row))
+        ints = [[int(c * lcm) for c in row] for row in rows]
+        scaled = [c * lcm ** (n - i) for i, c in enumerate(reference_char_poly(rows))]
+        assert spectral._berkowitz_char_poly(ints) == scaled
+
     def test_band_matrices_skip_berkowitz(self, monkeypatch):
         class Reached(Exception):
             pass
