@@ -228,8 +228,8 @@ class Polynomial:
         amount = as_fraction(amount)
         if not amount or len(self._coeffs) <= 1:
             return self
-        (image,) = _ladder_shift([self._coeffs], [(0, _ONE, amount)], _ZERO)
-        return Polynomial(image)
+        (image,) = _ladder_shift([_integer_vector(self._coeffs)], [(0, _ONE, amount)], _ZERO)
+        return Polynomial(_fraction_vector(image))
 
     # -- housekeeping --------------------------------------------------
 
@@ -317,20 +317,43 @@ def convert_basis(p: Polynomial, target: Basis) -> Polynomial:
                        for k, e in enumerate(ints)], target)
 
 
-def _ladder_shift(vectors, rungs, s: Fraction) -> list[list[Fraction]]:
+def _integer_vector(coeffs) -> tuple[int, list[tuple[int, int]], int]:
+    """The integer form ``(den, [(j, n_j), ...], length)`` of a Fraction
+    coefficient vector: ``den`` the lcm of its denominators and ``n_j / den``
+    its nonzero entries, lowest degree first."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return (den, [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(coeffs) if c],
+            len(coeffs))
+
+
+def _fraction_vector(vector) -> list[Fraction]:
+    """The Fraction coefficient vector of an integer form ``(den, [(j, n_j),
+    ...], length)``: one Fraction per nonzero entry, ``_ZERO`` elsewhere."""
+    den, nonzero, length = vector
+    out = [_ZERO] * length
+    for j, n in nonzero:
+        out[j] = Fraction(n, den)
+    return out
+
+
+def _ladder_shift(vectors, rungs, s: Fraction) -> list[tuple[int, list[tuple[int, int]], int]]:
     """Images of coefficient vectors on the ladder of step ``s`` (``s = 0``:
     monomials), on that ladder and untruncated, under a sum of rungs
     ``(r, c, h)``: ``x^(j) -> c * sum_m C(j, m) * h^(m) * x^(r+j-m)`` with
     ``h^(m) = h(h - s)...(h - (m-1)s)``.
 
+    Vectors and images are in the integer form of :func:`_integer_vector`.
+    Only the degrees the rungs reach are touched, so a unit vector under
+    rungs that are bands costs the width of the bands, not its degree.
+
     Over the integers: for ``D`` the lcm of the denominators of ``s`` and every
     ``h``, ``D^m * h^(m) = H(H - S)...(H - (m-1)S)`` with ``H = D*h, S = D*s``,
     cut at its first zero factor and scaled by ``D`` to the widest band ``w``.
     With ``V`` a vector's own denominator and ``R`` the rung coefficients',
-    each nonzero output entry is one Fraction over ``V*R*D^w``.
+    ``den`` is ``V*R*D^w``.
     """
     rungs = [(r, c, h) for r, c, h in rungs if c]
-    top = max(map(len, vectors), default=0)
+    top = max((length for _, _, length in vectors), default=0)
     d = lcm(s.denominator, *(h.denominator for _, _, h in rungs))
     big_s = s.numerator * (d // s.denominator)
     ratio = lcm(*(c.denominator for _, c, _ in rungs))
@@ -343,18 +366,22 @@ def _ladder_shift(vectors, rungs, s: Fraction) -> list[list[Fraction]]:
         bands.append((r, falling))
     width = max((len(f) for _, f in bands), default=1) - 1
     bands = [(r, [f * d ** (width - m) for m, f in enumerate(falling)]) for r, falling in bands]
-    reach = max((r for r, _ in bands), default=0)
+    scale = ratio * d ** width
+    # x^(j) reaches degrees r+j-m, m <= min(j, width), so those in low..high
+    low, high = min((r for r, _ in bands), default=0), max((r for r, _ in bands), default=0)
     images = []
-    for v in vectors:
-        den = lcm(*(c.denominator for c in v))
-        nonzero = [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(v) if c]
-        acc = [0] * (len(v) + reach)
+    for den, nonzero, _ in vectors:
+        if not nonzero:
+            images.append((den * scale, [], 0))
+            continue
+        lo = low + max(nonzero[0][0] - width, 0)
+        acc = [0] * (high + nonzero[-1][0] + 1 - lo)
         for r, falling in bands:
             for j, vj in nonzero:
                 binom = vj  # vj * C(j, m)
+                at = r + j - lo
                 for m in range(min(j + 1, len(falling))):
-                    acc[r + j - m] += binom * falling[m]
+                    acc[at - m] += binom * falling[m]
                     binom = binom * (j - m) // (m + 1)
-        den *= ratio * d ** width
-        images.append([Fraction(a, den) if a else _ZERO for a in acc])
+        images.append((den * scale, [(i, a) for i, a in enumerate(acc, lo) if a], lo + len(acc)))
     return images

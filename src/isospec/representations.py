@@ -33,7 +33,8 @@ from math import comb, lcm, perm
 from .algebra import AlgebraElement
 from .errors import (BasisMismatchError, StepMismatchError, mapping_items, require_instance,
                      require_int, unique_keys, wire_list, wire_object)
-from .polynomials import MONOMIAL, Basis, Polynomial, _ladder_shift, convert_basis
+from .polynomials import (MONOMIAL, Basis, Polynomial, _fraction_vector, _integer_vector,
+                          _ladder_shift, convert_basis)
 from .rationals import as_fraction, format_fraction, nonzero_step
 
 __all__ = [
@@ -187,14 +188,15 @@ class ShiftOperator:
             raise BasisMismatchError(
                 "shift operators act on monomial coefficient vectors; convert first"
             )
-        (image,) = self._ladder_images([p.coeffs], MONOMIAL)
-        return Polynomial(image)
+        (image,) = self._ladder_images([_integer_vector(p.coeffs)], MONOMIAL)
+        return Polynomial(_fraction_vector(image))
 
-    def _ladder_images(self, vectors, basis: Basis) -> list[list[Fraction]]:
+    def _ladder_images(self, vectors, basis: Basis) -> list[tuple[int, list[tuple[int, int]], int]]:
         """Images of coefficient vectors written on ``basis``, on that same
         basis, untruncated and never through monomials.  ``basis`` is a
         falling-factorial ladder of any step ``s``; the monomial basis is the
-        ladder with ``s = 0``.
+        ladder with ``s = 0``.  Vectors and images are in the integer form
+        ``(den, [(j, n_j), ...], length)`` of :func:`_integer_vector`.
 
         Each coefficient ``p_k`` is put on the ladder by :func:`convert_basis`,
         and each of its rungs ``c * x^(r)`` acts with ``T^k`` as the rung
@@ -348,8 +350,9 @@ def _continuum_images(element: AlgebraElement, vectors) -> list[list[Fraction]]:
     with ``k >= n``.
 
     Only the element's terms and the definition ``a = d/dx, b = x`` are
-    read: no algebra product and no lattice, so continuum matrices stay an
-    independent check of :func:`realize_lattice`.
+    read: no algebra product and no lattice.  It serves
+    :func:`apply_continuum`; continuum matrices are summed along their
+    diagonals by ``spectral.continuum_matrix`` instead.
     """
     terms = require_instance(element, (AlgebraElement,), "element").terms
     lift = max((m - n for m, n in terms), default=0)

@@ -6,18 +6,21 @@ degree-j basis element.  Operators that never raise degree therefore give
 upper-triangular matrices, eigenvalues sit on the diagonal, and eigenvectors
 come out of exact back-substitution.
 
-Each realization has one builder: :func:`continuum_matrix` uses the closed
-form ``b^m a^n x^j = j!/(j-n)! * x^(j-n+m)`` of each term, and
-:func:`lattice_matrix` the falling-factorial ladder.  Both raise
-:class:`SubspaceOverflowError` at the lowest degree whose image leaves the
-space; that is the only overflow signal.  The unexported
+Each realization has one builder: :func:`continuum_matrix` sums the closed
+form ``b^m a^n x^j = j!/(j-n)! * x^(j-n+m)`` of the terms along each
+diagonal ``t = m - n`` over Z, and :func:`lattice_matrix` runs the
+falling-factorial ladder over Z on integer unit vectors.  Both make one
+Fraction per nonzero entry and put the shared ``_ZERO`` in every other cell,
+and both raise :class:`SubspaceOverflowError` at the lowest degree whose
+image leaves the space; that is the only overflow signal.  The unexported
 :func:`matrix_on_basis` (through monomials) is the tests' reference.
 
 Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.
 :func:`char_poly` works on the integer matrix ``L*M`` (``L`` the LCM of the
-denominators) and touches Fractions only to divide the result back, by one
-of three division-free kernels over Z.  A Hessenberg matrix (triangular ones
+denominators; cells that are ``_ZERO`` are skipped by identity) and touches
+Fractions only to divide the result back, by one of three division-free
+kernels over Z.  A Hessenberg matrix (triangular ones
 and the three-point QES blocks included) gets the Hessenberg recurrence
 (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).  A
 narrow band (a quadratic QES block, lower and upper bandwidth 2) gets
@@ -45,9 +48,10 @@ from .errors import (
 )
 from .operators import (CLASSICAL_PRESETS, _preset_builder, eigenvalue_convention_note,
                         second_order_element)
-from .polynomials import MONOMIAL, Basis, Polynomial, convert_basis, quasi_basis
+from .polynomials import (MONOMIAL, Basis, Polynomial, _integer_vector, convert_basis,
+                          quasi_basis)
 from .rationals import as_fraction, format_fraction
-from .representations import ShiftOperator, _continuum_images, realize_lattice
+from .representations import ShiftOperator, realize_lattice
 from . import oracles
 
 __all__ = [
@@ -126,24 +130,24 @@ class OperatorMatrix:
         }
 
 
-def _assemble(basis: Basis, degree: int, images) -> OperatorMatrix:
-    """Matrix whose column j is the coefficient vector ``images[j]`` on
-    ``basis``; raises SubspaceOverflowError at the first image above the
-    degree bound."""
-    columns = []
-    for j, image in enumerate(images):
-        top = len(image) - 1
-        while top >= 0 and not image[top]:
-            top -= 1
-        if top > degree:
+def _assemble(basis: Basis, degree: int, columns) -> OperatorMatrix:
+    """Matrix whose column j is ``columns[j]``, a coefficient vector on
+    ``basis`` in the integer form ``(den, [(i, n_i), ...], length)`` of
+    :func:`_integer_vector`, nonzero entries lowest degree first; raises
+    SubspaceOverflowError at the first column with an entry above the degree
+    bound.  Each nonzero entry becomes one Fraction, every other cell the
+    shared ``_ZERO``."""
+    rows = [[_ZERO] * (degree + 1) for _ in range(degree + 1)]
+    for j, (den, nonzero, _) in enumerate(columns):
+        if nonzero and nonzero[-1][0] > degree:
             raise SubspaceOverflowError(
                 f"image of the degree-{j} basis element has degree "
-                f"{top} > bound {degree}",
+                f"{nonzero[-1][0]} > bound {degree}",
                 degree=j,
             )
-        column = list(image[:degree + 1])
-        columns.append(column + [_ZERO] * (degree + 1 - len(column)))
-    return OperatorMatrix(basis=basis, entries=tuple(zip(*columns)))
+        for i, n in nonzero:
+            rows[i][j] = Fraction(n, den)
+    return OperatorMatrix(basis=basis, entries=tuple(map(tuple, rows)))
 
 
 def matrix_on_basis(action, basis: Basis, degree: int) -> OperatorMatrix:
@@ -155,8 +159,8 @@ def matrix_on_basis(action, basis: Basis, degree: int) -> OperatorMatrix:
     """
     require_int(degree, "degree bound")
     images = (
-        convert_basis(action(convert_basis(Polynomial.unit_vector(j, basis), MONOMIAL)),
-                      basis).coeffs
+        _integer_vector(convert_basis(
+            action(convert_basis(Polynomial.unit_vector(j, basis), MONOMIAL)), basis).coeffs)
         for j in range(degree + 1)
     )
     return _assemble(basis, degree, images)
@@ -164,10 +168,30 @@ def matrix_on_basis(action, basis: Basis, degree: int) -> OperatorMatrix:
 
 def continuum_matrix(element: AlgebraElement, degree: int) -> OperatorMatrix:
     """Matrix of the differential realization on monomials of degree <= degree;
-    raises SubspaceOverflowError if the element leaves the space."""
+    raises SubspaceOverflowError if the element leaves the space.
+
+    Built on the diagonals of the matrix: a term ``c*b^m a^n`` sends ``x^j`` to
+    ``c*j!/(j-n)! * x^(j+t)``, ``t = m - n``, so with every ``c`` scaled to
+    integers by the lcm ``L`` of the denominators, entry ``(j+t, j)`` is the
+    integer sum of ``c*L*perm(j, n)`` over the terms of diagonal ``t``,
+    divided once by ``L``.  Only the element's terms are read: no algebra
+    product and no lattice, so continuum matrices stay an independent check
+    of :func:`realize_lattice`.
+    """
     require_int(degree, "degree bound")
-    units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
-    return _assemble(MONOMIAL, degree, _continuum_images(element, units))
+    terms = require_instance(element, (AlgebraElement,), "element").terms
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    by_diagonal: dict[int, list[tuple[int, int]]] = {}
+    for (m, n), c in terms.items():
+        by_diagonal.setdefault(m - n, []).append((n, c.numerator * (scale // c.denominator)))
+    diagonals = sorted(by_diagonal.items())
+    lift = max(max(by_diagonal, default=0), 0)
+    columns = (
+        (scale, [(j + t, total) for t, row in diagonals
+                 if (total := sum(c * math.perm(j, n) for n, c in row))], j + 1 + lift)
+        for j in range(degree + 1)
+    )
+    return _assemble(MONOMIAL, degree, columns)
 
 
 def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -> OperatorMatrix:
@@ -178,13 +202,15 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
     Every basis (monomial, the own step, another step) is handled on its own
     ladder by one falling-factorial identity, never through monomials, with
     the entries of :func:`matrix_on_basis`: O(d*w) per coefficient rung that
-    is a band ``w`` wide, and O(d^2) per other rung.
+    is a band ``w`` wide, and O(d^2) per other rung.  The unit columns go in
+    as the integer vectors ``(1, [(j, 1)], j + 1)``, so no dense zero list is
+    built or scanned.
     """
     require_instance(op, (ShiftOperator,), "op")
     if basis is None:
         basis = quasi_basis(op.step)
     require_int(degree, "degree bound")
-    units = [[_ZERO] * j + [_ONE] for j in range(degree + 1)]
+    units = [(1, [(j, 1)], j + 1) for j in range(degree + 1)]
     return _assemble(basis, degree, op._ladder_images(units, basis))
 
 
@@ -193,7 +219,9 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
 
     No Fraction arithmetic until the last step: with ``L`` the LCM of the
     denominators, the coefficient of ``lambda^i`` is that of the integer
-    matrix ``A = L*M`` divided by ``L^(n-i)``.  Three kernels, all
+    matrix ``A = L*M`` divided by ``L^(n-i)``.  The cells that hold the
+    builders' shared ``_ZERO`` become 0 without reading the Fraction; any
+    other zero is read like every other entry.  Three kernels, all
     division-free over Z, in this order:
 
     * a Hessenberg ``A`` (triangular included; a lower one is transposed)
@@ -219,10 +247,14 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
       new column.  Cost: ``O(n^4)`` operations on integers.
     """
     n = matrix.size
-    denominators = {x.denominator for row in matrix.entries for x in row}
+    # the builders put the one object _ZERO in every zero cell, and skipping it
+    # by identity saves the two property reads of each; this is exact, since
+    # any other zero Fraction takes the general path and still gives 0
+    denominators = {x.denominator for row in matrix.entries for x in row if x is not _ZERO}
     lcm = math.lcm(*denominators)
     factor = {d: lcm // d for d in denominators}
-    a = [[x.numerator * factor[x.denominator] for x in row] for row in matrix.entries]
+    a = [[0 if x is _ZERO else x.numerator * factor[x.denominator] for x in row]
+         for row in matrix.entries]
     if not any(any(a[i][i + 2:]) for i in range(n)):  # lower Hessenberg
         coeffs = _hessenberg_char_poly([list(column) for column in zip(*a)])
     elif not any(any(a[i][:i - 1]) for i in range(2, n)):  # upper Hessenberg
@@ -517,9 +549,17 @@ def _eigen_identities(op: ShiftOperator, basis: Basis, pairs) -> list[bool]:
     """:func:`verify_pointwise` for every ``(phi, eigenvalue)`` pair, all on
     ``basis``, with one :meth:`ShiftOperator._ladder_images` call, so the
     operator's coefficients go onto the ladder once for all of them."""
-    images = op._ladder_images([phi.coeffs for phi, _ in pairs], basis)
-    return [all(c == lam * phi.coefficient(i) for i, c in enumerate(image))
-            for (phi, lam), image in zip(pairs, images)]
+    vectors = [_integer_vector(phi.coeffs) for phi, _ in pairs]
+    images = op._ladder_images(vectors, basis)
+    # over Z, before any division: with lam = p/q, phi's numerators over V and
+    # the image's over den, the image is lam*phi iff q*V*image == p*den*phi;
+    # both sides list only nonzero entries, so for p = 0 the right one is empty
+    out = []
+    for (_, lam), (v_den, nonzero, _), (den, image, _) in zip(pairs, vectors, images):
+        left, right = lam.denominator * v_den, lam.numerator * den
+        out.append([(i, left * a) for i, a in image] ==
+                   [(j, right * b) for j, b in nonzero if right])
+    return out
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,17 @@ class TestExitCodes:
         assert code == 3
         assert "degree" in err
 
+    @pytest.mark.parametrize("delta", [[], ["--delta", "3/7"]])
+    def test_closure_violation_names_the_lowest_overflowing_degree(self, capsys, delta):
+        # a spin-6 form closes on degree <= 6 and x^7 stays below the bound 9,
+        # so x^8 is the first basis element to leave it, in both realizations
+        code, out, err = run_cli(capsys, "spectrum", "--op", "qes2", "--spin", "6",
+                                 "--degree", "9", "--params",
+                                 "1,-2,3/2,1/3,-1,2,5/4,-3,1/2,2", *delta)
+        assert code == 3 and out == ""
+        assert err == ("isospec: domain error: image of the degree-8 basis element "
+                       "has degree 10 > bound 9\n")
+
     def test_zero_delta_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "discretize", "--op", "hermite", "--delta", "0")
         assert code == 2

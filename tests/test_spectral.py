@@ -27,7 +27,8 @@ from isospec.operators import (
     second_order_element,
     three_point_operator,
 )
-from isospec.polynomials import MONOMIAL, Polynomial, convert_basis, quasi_basis
+from isospec.polynomials import (MONOMIAL, Polynomial, _fraction_vector, _integer_vector,
+                                 convert_basis, quasi_basis)
 from isospec.representations import ShiftOperator, apply_continuum, realize_lattice
 from isospec.spectral import (
     OperatorMatrix,
@@ -431,6 +432,21 @@ def fraction_ladder_images(op, vectors, basis):
     return images
 
 
+def ladder_images(op, vectors, basis):
+    """``op._ladder_images`` on Fraction vectors: each goes in through its
+    integer form and comes out as a Fraction list without trailing zeros."""
+    images = op._ladder_images([_integer_vector(v) for v in vectors], basis)
+    for den, nonzero, length in images:
+        assert den > 0 and all(n for _, n in nonzero)
+        assert [i for i, _ in nonzero] == sorted({i for i, _ in nonzero})
+        assert all(0 <= i < length for i, _ in nonzero)
+    return [list(Polynomial(_fraction_vector(image)).coeffs) for image in images]
+
+
+def trimmed(vector):
+    return list(Polynomial(vector).coeffs)
+
+
 class TestLadderKernelAgainstFractionReference:
     """The integer ladder kernel behind lattice matrices, verify_pointwise,
     ShiftOperator.apply and Polynomial.shifted must reproduce the Fraction
@@ -439,7 +455,17 @@ class TestLadderKernelAgainstFractionReference:
     @given(wide_shift_operators, basis_kinds, st.lists(dense_vectors, max_size=3))
     def test_images_match_the_fraction_ladder_identity(self, op, kind, vectors):
         basis = _basis(kind, op)
-        assert op._ladder_images(vectors, basis) == fraction_ladder_images(op, vectors, basis)
+        assert ladder_images(op, vectors, basis) == [
+            trimmed(image) for image in fraction_ladder_images(op, vectors, basis)]
+
+    @given(wide_shift_operators, basis_kinds, st.integers(0, 12))
+    def test_unit_vectors_in_integer_form_match_the_fraction_ladder_identity(self, op, kind, j):
+        # the form lattice_matrix passes: only the degrees the rungs reach
+        basis = _basis(kind, op)
+        unit = [F(0)] * j + [F(1)]
+        (image,) = op._ladder_images([(1, [(j, 1)], j + 1)], basis)
+        (expected,) = fraction_ladder_images(op, [unit], basis)
+        assert trimmed(_fraction_vector(image)) == trimmed(expected)
 
     @given(wide_shift_operators, dense_vectors)
     def test_apply_matches_the_fraction_taylor_shift_sum(self, op, coeffs):
@@ -450,8 +476,9 @@ class TestLadderKernelAgainstFractionReference:
         vectors = [[], [F(0)] * 3, [F(0), F(5, 9)]]
         for op in (ShiftOperator.zero(F(-4, 9)), ShiftOperator(F(-4, 9), {2: [F(1, 3), F(-7, 8)]})):
             basis = _basis(kind, op)
-            images = op._ladder_images(vectors, basis)
-            assert images == fraction_ladder_images(op, vectors, basis)
+            images = ladder_images(op, vectors, basis)
+            assert images == [trimmed(image)
+                              for image in fraction_ladder_images(op, vectors, basis)]
             assert not any(images[0] + images[1])
         assert ShiftOperator.zero(F(-4, 9)).apply(Polynomial((1, 2))) == Polynomial.zero()
 
@@ -551,6 +578,112 @@ class TestContinuumAgainstRepeatedDifferentiation:
             assert report.closed
 
 
+def assert_shared_zeros(matrix):
+    """Every zero cell of a builder's matrix is the one object ``_ZERO``,
+    which char_poly skips by identity."""
+    assert all(x is spectral._ZERO for row in matrix.entries for x in row if not x)
+
+
+def apply_continuum_columns(element, degree):
+    """Images of 1, x, ..., x^degree by apply_continuum, trimmed."""
+    return [list(apply_continuum(element, Polynomial.unit_vector(j)).coeffs)
+            for j in range(degree + 1)]
+
+
+def assert_continuum_matrix_matches_apply_continuum(element, degree):
+    """continuum_matrix against the columns of apply_continuum: the same
+    entries, or the same overflow degree and message; returns the matrix or
+    None."""
+    columns = apply_continuum_columns(element, degree)
+    overflow = [(j, len(col) - 1) for j, col in enumerate(columns) if len(col) > degree + 1]
+    if overflow:
+        with pytest.raises(SubspaceOverflowError) as err:
+            continuum_matrix(element, degree)
+        j, top = overflow[0]
+        assert err.value.degree == j
+        assert str(err.value) == (f"image of the degree-{j} basis element has degree "
+                                  f"{top} > bound {degree}")
+        return None
+    matrix = continuum_matrix(element, degree)
+    padded = [col + [F(0)] * (degree + 1 - len(col)) for col in columns]
+    assert matrix.entries == tuple(zip(*padded))
+    assert_shared_zeros(matrix)
+    return matrix
+
+
+E2_RATIONAL = second_order_element(SecondOrderParams(1, -2, F(3, 2), F(1, 3), -1, 2))
+QES2_PARAMS = (1, -2, F(3, 2), F(1, 3), -1, 2, F(5, 4), -3, F(1, 2), 2)
+
+
+class TestContinuumMatrixOnDiagonals:
+    """continuum_matrix sums each diagonal over Z; apply_continuum, the
+    term-by-term closed form on Fractions, is its reference far above the
+    degrees the properties reach."""
+
+    @pytest.mark.parametrize("degree", [60, 200])
+    def test_generic_rational_element_at_high_degree(self, degree):
+        matrix = assert_continuum_matrix_matches_apply_continuum(E2_RATIONAL, degree)
+        assert matrix is not None and matrix.is_upper_triangular
+
+    @pytest.mark.parametrize("degree", [60, 200])
+    def test_qes2_form_at_high_degree(self, degree):
+        # it closes at spin = degree, and at spin degree/2 it overflows
+        element = qes_quadratic_element(QesQuadraticForm(degree, *QES2_PARAMS))
+        assert assert_continuum_matrix_matches_apply_continuum(element, degree) is not None
+        element = qes_quadratic_element(QesQuadraticForm(degree // 2, *QES2_PARAMS))
+        assert assert_continuum_matrix_matches_apply_continuum(element, degree) is None
+
+    @pytest.mark.parametrize("spin", [2, 6, 30])
+    def test_a_diagonal_that_cancels_at_column_spin_leaves_the_shared_zero(self, spin):
+        form = QesQuadraticForm(spin, plus_plus=2, plus_zero=-3, zero_zero=1, minus_minus=5,
+                                plus=F(7, 2), const=-F(spin, 2) ** 2)
+        element = qes_quadratic_element(form)
+        # the main diagonal is b^2 a^2 + (1 - spin) b a: j(j-1) + (1-spin) j,
+        # two nonzero terms that cancel at j = spin (and at j = 0)
+        assert {k: c for k, c in element.terms.items() if k[0] == k[1]} == {
+            (2, 2): 1, (1, 1): 1 - spin}
+        matrix = assert_continuum_matrix_matches_apply_continuum(element, spin)
+        assert matrix.entries[spin][spin] is spectral._ZERO
+        assert matrix.entries[0][0] is spectral._ZERO
+        # the raising diagonals cancel at column spin too, so the first
+        # overflow is at spin + 1, as apply_continuum has it
+        assert assert_continuum_matrix_matches_apply_continuum(element, spin + 1) is None
+        with pytest.raises(SubspaceOverflowError) as err:
+            continuum_matrix(element, spin + 1)
+        assert err.value.degree == spin + 1
+
+    @given(elements, shift_operators, basis_kinds, st.integers(0, 12))
+    def test_builders_put_the_shared_zero_in_every_zero_cell(self, element, op, kind, degree):
+        for matrix in (matrix_or_overflow(continuum_matrix, element, degree),
+                       matrix_or_overflow(lattice_matrix, op, degree, basis=_basis(kind, op)),
+                       matrix_or_overflow(lattice_matrix, realize_lattice(element, op.step),
+                                          degree)):
+            if isinstance(matrix, OperatorMatrix):
+                assert_shared_zeros(matrix)
+
+
+KERNELS = ("_hessenberg_char_poly", "_band_char_poly", "_berkowitz_char_poly")
+
+
+def with_zeros(rows, zero):
+    """The matrix of ``rows`` with ``zero()`` in every zero cell."""
+    return OperatorMatrix(MONOMIAL, tuple(tuple(x if x else zero() for x in row)
+                                          for row in rows))
+
+
+def kernels_and_char_poly(matrix):
+    """The names of the kernels char_poly ran on ``matrix``, and its result."""
+    ran = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in KERNELS:
+            def spy(*args, name=name, kernel=getattr(spectral, name)):
+                ran.append(name)
+                return kernel(*args)
+            patch.setattr(spectral, name, spy)
+        cp = char_poly(matrix)
+    return ran, cp
+
+
 class TestCharPoly:
     def test_triangular_product(self):
         matrix = continuum_matrix(HERMITE, 2)
@@ -609,6 +742,37 @@ class TestCharPoly:
         rows = data.draw(shaped_matrices(shape))
         matrix = OperatorMatrix(MONOMIAL, tuple(tuple(row) for row in rows))
         assert list(char_poly(matrix).coeffs) == reference_char_poly(rows)
+
+    @pytest.mark.parametrize("shape", CHAR_POLY_SHAPES)
+    @given(st.data())
+    def test_fresh_zeros_give_the_char_poly_of_shared_ones(self, shape, data):
+        # char_poly skips the builders' _ZERO by identity; a zero Fraction of
+        # its own must take the general path to the same kernel and result
+        rows = data.draw(shaped_matrices(shape))
+        shared = with_zeros(rows, lambda: spectral._ZERO)
+        fresh = with_zeros(rows, lambda: F(0))
+        assert not any(x is spectral._ZERO for row in fresh.entries for x in row)
+        assert kernels_and_char_poly(fresh) == kernels_and_char_poly(shared)
+        assert list(char_poly(fresh).coeffs) == reference_char_poly(rows)
+
+    def test_fresh_zeros_give_the_char_poly_of_shared_ones_on_every_kernel(self):
+        rng = random.Random(17)
+        n = 9
+
+        def banded(lower, upper):
+            return [[rand_fraction(rng, nonzero=True) if -lower <= j - i <= upper else F(0)
+                     for j in range(n)] for i in range(n)]
+
+        dense = banded(n, n)
+        dense[3][5] = dense[7][1] = F(0)
+        for rows, kernel in ((banded(0, 2), "_hessenberg_char_poly"),
+                             (banded(1, 3), "_hessenberg_char_poly"),
+                             (banded(2, 2), "_band_char_poly"),
+                             (dense, "_berkowitz_char_poly")):
+            ran, cp = kernels_and_char_poly(with_zeros(rows, lambda: spectral._ZERO))
+            assert ran == [kernel]
+            assert kernels_and_char_poly(with_zeros(rows, lambda: F(0))) == (ran, cp)
+            assert list(cp.coeffs) == reference_char_poly(rows)
 
     def test_qes_blocks_at_spin_18_agree_with_gaussian_elimination(self):
         rng = random.Random(18)
