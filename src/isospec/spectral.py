@@ -17,16 +17,21 @@ image leaves the space; that is the only overflow signal.  The unexported
 
 Equality of spectra is certified by comparing monic characteristic
 polynomials coefficient by coefficient; no roots are ever extracted.
-:func:`char_poly` works on the integer matrix ``L*M`` (``L`` the LCM of the
-denominators; cells that are ``_ZERO`` are skipped by identity) and touches
-Fractions only to divide the result back, by one of three division-free
-kernels over Z.  A Hessenberg matrix (triangular ones
-and the three-point QES blocks included) gets the Hessenberg recurrence
-(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).  A
-narrow band (a quadratic QES block, lower and upper bandwidth 2) gets
-Laplace expansion one row at a time, whose states are the columns used
-inside a sliding window (for a tridiagonal matrix, the continuant).  Any
-other (a dense matrix built by hand) gets Berkowitz's algorithm.
+:func:`char_poly` works on the integer matrix ``L*M`` (``L`` an LCM of
+denominators) and touches Fractions only to divide the result back, by one
+of four division-free kernels over Z.  A triangular matrix, upper or lower,
+gets the product of ``lambda - L*M[i][i]`` with ``L`` the LCM of the
+diagonal's denominators, and no other cell is scaled; cells that are
+``_ZERO`` pass its zero test by identity.  So :func:`isospectral_check`
+takes one polynomial when both its matrices are triangular with one
+diagonal.  Any other matrix is scaled by the LCM of all its denominators
+(skipping ``_ZERO`` cells by identity).  A Hessenberg one (the three-point
+QES blocks) gets the Hessenberg recurrence (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9).  A narrow band (a
+quadratic QES block, lower and upper bandwidth 2) gets Laplace expansion
+one row at a time, whose states are the columns used inside a sliding
+window (for a tridiagonal matrix, the continuant).  Any other (a dense
+matrix built by hand) gets Berkowitz's algorithm.
 """
 
 from __future__ import annotations
@@ -113,11 +118,7 @@ class OperatorMatrix:
 
     @property
     def is_upper_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.size)
-            for j in range(i)
-        )
+        return _is_upper(self.entries)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -147,7 +148,35 @@ def _assemble(basis: Basis, degree: int, columns) -> OperatorMatrix:
             )
         for i, n in nonzero:
             rows[i][j] = Fraction(n, den)
-    return OperatorMatrix(basis=basis, entries=tuple(map(tuple, rows)))
+    return _trusted_matrix(basis, tuple(map(tuple, rows)))
+
+
+def _trusted_matrix(basis: Basis, entries: tuple[tuple[Fraction, ...], ...]) -> OperatorMatrix:
+    """An :class:`OperatorMatrix` made without the checks of its constructor,
+    as ``AlgebraElement``'s ``_raw`` makes elements: only for ``entries``
+    that are already square tuples of Fractions."""
+    matrix = object.__new__(OperatorMatrix)
+    object.__setattr__(matrix, "basis", basis)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
+
+
+def _zeros(cells) -> bool:
+    """True iff every Fraction in ``cells`` is zero.  ``count`` compares by
+    identity before equality, so a cell holding the builders' shared
+    ``_ZERO`` costs one pointer comparison, and any other zero Fraction
+    still counts, by ``==``."""
+    return cells.count(_ZERO) == len(cells)
+
+
+def _is_upper(entries) -> bool:
+    return all(_zeros(row[:i]) for i, row in enumerate(entries))
+
+
+def _is_triangular(entries) -> bool:
+    """Upper or lower triangular: either way det(lambda*I - M) is the product
+    of ``lambda - M[i][i]``."""
+    return _is_upper(entries) or all(_zeros(row[i + 1:]) for i, row in enumerate(entries))
 
 
 def matrix_on_basis(action, basis: Basis, degree: int) -> OperatorMatrix:
@@ -217,16 +246,21 @@ def lattice_matrix(op: ShiftOperator, degree: int, basis: Basis | None = None) -
 def char_poly(matrix: OperatorMatrix) -> Polynomial:
     """Monic characteristic polynomial det(lambda*I - M), exact.
 
-    No Fraction arithmetic until the last step: with ``L`` the LCM of the
+    No Fraction arithmetic until the last step: with ``L`` an LCM of
     denominators, the coefficient of ``lambda^i`` is that of the integer
-    matrix ``A = L*M`` divided by ``L^(n-i)``.  The cells that hold the
-    builders' shared ``_ZERO`` become 0 without reading the Fraction; any
-    other zero is read like every other entry.  Three kernels, all
+    matrix ``A = L*M`` divided by ``L^(n-i)``.  Four kernels, all
     division-free over Z, in this order:
 
-    * a Hessenberg ``A`` (triangular included; a lower one is transposed)
-      goes through the Hessenberg recurrence (Cohen, *A Course in
-      Computational Algebraic Number Theory*, Alg. 2.2.9);
+    * a triangular ``M``, upper or lower, gets the product of
+      ``lambda - A[i][i]``, with ``L`` the LCM of the diagonal's
+      denominators only: no other cell is scaled or read past the zero test.
+      The cells that hold the builders' shared ``_ZERO`` pass that test by
+      identity; any other zero Fraction passes it by ``==``;
+    * otherwise ``L`` is the LCM of all the denominators (the shared
+      ``_ZERO`` cells become 0 without reading the Fraction, any other zero
+      is read like every other entry), and a Hessenberg ``A`` (a lower one
+      is transposed) goes through the Hessenberg recurrence (Cohen, *A
+      Course in Computational Algebraic Number Theory*, Alg. 2.2.9);
     * any other ``A`` that is zero outside the band ``-p <= j - i <= q``
       with ``C(p+q, p) <= 126`` (a quadratic QES block has p = q = 2) goes
       through Laplace expansion along the rows, one row at a time (Muir,
@@ -247,26 +281,43 @@ def char_poly(matrix: OperatorMatrix) -> Polynomial:
       new column.  Cost: ``O(n^4)`` operations on integers.
     """
     n = matrix.size
-    # the builders put the one object _ZERO in every zero cell, and skipping it
-    # by identity saves the two property reads of each; this is exact, since
-    # any other zero Fraction takes the general path and still gives 0
-    denominators = {x.denominator for row in matrix.entries for x in row if x is not _ZERO}
-    lcm = math.lcm(*denominators)
-    factor = {d: lcm // d for d in denominators}
-    a = [[0 if x is _ZERO else x.numerator * factor[x.denominator] for x in row]
-         for row in matrix.entries]
-    if not any(any(a[i][i + 2:]) for i in range(n)):  # lower Hessenberg
-        coeffs = _hessenberg_char_poly([list(column) for column in zip(*a)])
-    elif not any(any(a[i][:i - 1]) for i in range(2, n)):  # upper Hessenberg
-        coeffs = _hessenberg_char_poly(a)
+    if _is_triangular(matrix.entries):
+        diagonal = matrix.diagonal
+        lcm = math.lcm(*(x.denominator for x in diagonal))
+        coeffs = _triangular_char_poly(
+            [x.numerator * (lcm // x.denominator) for x in diagonal])
     else:
-        offsets = [j - i for i, row in enumerate(a) for j, x in enumerate(row) if x]
-        lower, upper = -min(offsets), max(offsets)
-        if math.comb(lower + upper, lower) <= _BAND_STATES:
-            coeffs = _band_char_poly(a, lower, upper)
+        # the builders put the one object _ZERO in every zero cell, and skipping
+        # it by identity saves the two property reads of each; this is exact,
+        # since any other zero Fraction takes the general path and still gives 0
+        denominators = {x.denominator for row in matrix.entries for x in row
+                        if x is not _ZERO}
+        lcm = math.lcm(*denominators)
+        factor = {d: lcm // d for d in denominators}
+        a = [[0 if x is _ZERO else x.numerator * factor[x.denominator] for x in row]
+             for row in matrix.entries]
+        if not any(any(a[i][i + 2:]) for i in range(n)):  # lower Hessenberg
+            coeffs = _hessenberg_char_poly([list(column) for column in zip(*a)])
+        elif not any(any(a[i][:i - 1]) for i in range(2, n)):  # upper Hessenberg
+            coeffs = _hessenberg_char_poly(a)
         else:
-            coeffs = _berkowitz_char_poly(a)
+            offsets = [j - i for i, row in enumerate(a) for j, x in enumerate(row) if x]
+            lower, upper = -min(offsets), max(offsets)
+            if math.comb(lower + upper, lower) <= _BAND_STATES:
+                coeffs = _band_char_poly(a, lower, upper)
+            else:
+                coeffs = _berkowitz_char_poly(a)
     return Polynomial([Fraction(c, lcm ** (n - i)) for i, c in enumerate(coeffs)])
+
+
+def _triangular_char_poly(diagonal: list[int]) -> list[int]:
+    """Coefficients, lowest degree first, of the product of ``lambda - d``
+    over the integers ``d`` of ``diagonal``: det(lambda*I - A) for a
+    triangular integer matrix A with that diagonal."""
+    poly = [1]
+    for d in diagonal:
+        poly = [x - d * y for x, y in zip([0] + poly, poly + [0])]
+    return poly
 
 
 def _hessenberg_char_poly(h: list[list[int]]) -> list[int]:
@@ -502,7 +553,9 @@ class IsospectralityCertificate:
 def isospectral_check(element: AlgebraElement, step, degree: int) -> IsospectralityCertificate:
     """Build the continuum matrix on monomials and the lattice matrix on the
     quasi-monomial ladder, and compare their monic characteristic polynomials
-    exactly.
+    exactly.  When both matrices are triangular with equal diagonals, entry
+    for entry, the lattice polynomial is the continuum one, taken once;
+    any other pair gets a :func:`char_poly` of its own.
 
     Raises SubspaceOverflowError if the element does not close on the space
     in either realization.
@@ -511,7 +564,14 @@ def isospectral_check(element: AlgebraElement, step, degree: int) -> Isospectral
     cont = continuum_matrix(element, degree)
     latt = lattice_matrix(realize_lattice(element, step), degree)
     cp_cont = char_poly(cont)
-    cp_latt = char_poly(latt)
+    # the char poly of a triangular matrix is the product over its diagonal,
+    # so a triangular lattice matrix with the continuum's diagonal has the
+    # continuum's polynomial whenever that matrix is triangular too
+    if (latt.diagonal == cont.diagonal and _is_triangular(latt.entries)
+            and _is_triangular(cont.entries)):
+        cp_latt = cp_cont
+    else:
+        cp_latt = char_poly(latt)
     return IsospectralityCertificate(
         step=step,
         degree_bound=degree,

@@ -248,6 +248,26 @@ def band_matrices(draw):
     return lower, upper, rows
 
 
+@st.composite
+def triangular_matrices(draw):
+    """An upper or lower triangular matrix of size 0..12.  Its diagonal is
+    drawn from a pool of at most four values (so entries repeat), each zero,
+    small or of 35 to 40 digits; the cells on the other side of it are zero,
+    small or big, and every zero cell is a fresh ``Fraction(0)`` or the
+    builders' shared ``_ZERO``."""
+    n = draw(st.integers(0, 12))
+    noise = st.one_of(_sparse_entries, _big_entries)
+    pool = draw(st.lists(st.one_of(st.just(F(0)), _entries, _big_entries),
+                         min_size=1, max_size=4))
+    diagonal = [draw(st.sampled_from(pool)) for _ in range(n)]
+    rows = [[diagonal[i] if i == j else draw(noise) if j > i else F(0) for j in range(n)]
+            for i in range(n)]
+    if draw(st.booleans()):
+        rows = [list(column) for column in zip(*rows)]
+    zero = st.one_of(st.builds(F), st.just(spectral._ZERO))
+    return [[x if x else draw(zero) for x in row] for row in rows]
+
+
 class TestMatrix:
     def test_hermite_matrix_degree_three(self):
         matrix = continuum_matrix(HERMITE, 3)
@@ -662,7 +682,8 @@ class TestContinuumMatrixOnDiagonals:
                 assert_shared_zeros(matrix)
 
 
-KERNELS = ("_hessenberg_char_poly", "_band_char_poly", "_berkowitz_char_poly")
+KERNELS = ("_triangular_char_poly", "_hessenberg_char_poly", "_band_char_poly",
+           "_berkowitz_char_poly")
 
 
 def with_zeros(rows, zero):
@@ -765,7 +786,8 @@ class TestCharPoly:
 
         dense = banded(n, n)
         dense[3][5] = dense[7][1] = F(0)
-        for rows, kernel in ((banded(0, 2), "_hessenberg_char_poly"),
+        for rows, kernel in ((banded(0, 2), "_triangular_char_poly"),
+                             (banded(3, 0), "_triangular_char_poly"),
                              (banded(1, 3), "_hessenberg_char_poly"),
                              (banded(2, 2), "_band_char_poly"),
                              (dense, "_berkowitz_char_poly")):
@@ -773,6 +795,25 @@ class TestCharPoly:
             assert ran == [kernel]
             assert kernels_and_char_poly(with_zeros(rows, lambda: F(0))) == (ran, cp)
             assert list(cp.coeffs) == reference_char_poly(rows)
+
+    @given(triangular_matrices())
+    def test_triangular_kernel_agrees_with_gaussian_elimination(self, rows):
+        def unreachable(*args):
+            raise AssertionError("a triangular matrix left the triangular kernel")
+
+        n = len(rows)
+        expected = reference_char_poly(rows)
+        matrix = OperatorMatrix(MONOMIAL, tuple(map(tuple, rows)))
+        with pytest.MonkeyPatch.context() as patch:
+            for name in KERNELS[1:]:
+                patch.setattr(spectral, name, unreachable)
+            assert list(char_poly(matrix).coeffs) == expected
+        # the kernel itself, on the diagonal scaled by the LCM of its own
+        # denominators: the other cells play no part
+        lcm = math.lcm(1, *(row[i].denominator for i, row in enumerate(rows)))
+        diagonal = [int(row[i] * lcm) for i, row in enumerate(rows)]
+        scaled = [c * lcm ** (n - i) for i, c in enumerate(expected)]
+        assert spectral._triangular_char_poly(diagonal) == scaled
 
     def test_qes_blocks_at_spin_18_agree_with_gaussian_elimination(self):
         rng = random.Random(18)
@@ -998,6 +1039,96 @@ class TestIsospectral:
         blob = cert.to_json_obj()
         assert blob["verdict"] is True
         assert blob["delta"] == "1/2"
+
+
+def certificate_with_lattice(monkeypatch, edit, degree=8, step=F(3, 7)):
+    """The certificate of E2_RATIONAL when ``lattice_matrix`` returns its real
+    matrix with the rows passed through ``edit`` (None: unpatched); with
+    the matrices char_poly ran on and the lattice matrix used."""
+    latt = []
+    if edit is not None:
+        def edited(op, degree, basis=None, build=spectral.lattice_matrix):
+            real = build(op, degree, basis)
+            rows = edit([list(row) for row in real.entries])
+            latt.append(OperatorMatrix(real.basis, tuple(map(tuple, rows))))
+            return latt[0]
+        monkeypatch.setattr(spectral, "lattice_matrix", edited)
+    ran = []
+
+    def spy(matrix, kernel=spectral.char_poly):
+        ran.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(spectral, "char_poly", spy)
+    return isospectral_check(E2_RATIONAL, step, degree), ran, latt
+
+
+class TestIsospectralReuse:
+    """Both matrices triangular with one diagonal: one char poly, the
+    continuum's; any other lattice matrix gets its own."""
+
+    def test_triangular_matrices_with_one_diagonal_take_one_char_poly(self, monkeypatch):
+        cert, ran, _ = certificate_with_lattice(monkeypatch, None)
+        cont = continuum_matrix(E2_RATIONAL, 8)
+        assert ran == [cont]
+        assert cert.verdict and cert.lattice_char_poly is cert.continuum_char_poly
+        latt = lattice_matrix(realize_lattice(E2_RATIONAL, F(3, 7)), 8)
+        assert latt.is_upper_triangular and latt.diagonal == cont.diagonal
+        assert cert.lattice_char_poly == char_poly(latt)
+
+    def test_a_permuted_diagonal_goes_through_char_poly(self, monkeypatch):
+        def transposed_with_reversed_diagonal(rows):
+            n = len(rows)
+            out = [list(column) for column in zip(*rows)]
+            for i in range(n):
+                out[i][i] = rows[n - 1 - i][n - 1 - i]
+            return out
+
+        cert, ran, (latt,) = certificate_with_lattice(monkeypatch,
+                                                      transposed_with_reversed_diagonal)
+        cont = continuum_matrix(E2_RATIONAL, 8)
+        assert latt.diagonal == cont.diagonal[::-1] != cont.diagonal
+        assert ran == [cont, latt]
+        assert list(cert.lattice_char_poly.coeffs) == reference_char_poly(latt.entries)
+        assert cert.verdict and cert.lattice_char_poly == cert.continuum_char_poly
+
+    def test_one_changed_diagonal_entry_fails_the_verdict(self, monkeypatch):
+        def bumped(rows):
+            rows[3][3] += 1
+            return rows
+
+        cert, ran, (latt,) = certificate_with_lattice(monkeypatch, bumped)
+        assert ran[1:] == [latt]
+        assert list(cert.lattice_char_poly.coeffs) == reference_char_poly(latt.entries)
+        assert not cert.verdict
+
+    def test_a_non_triangular_lattice_matrix_reaches_char_poly(self, monkeypatch):
+        def with_a_subdiagonal_entry(rows):
+            rows[4][3] = F(5, 2)
+            return rows
+
+        cert, ran, (latt,) = certificate_with_lattice(monkeypatch, with_a_subdiagonal_entry)
+        cont = continuum_matrix(E2_RATIONAL, 8)
+        assert latt.diagonal == cont.diagonal and not latt.is_upper_triangular
+        assert ran == [cont, latt]
+        expected = reference_char_poly(latt.entries)
+        assert list(cert.lattice_char_poly.coeffs) == expected
+        assert cert.verdict == (expected == list(cert.continuum_char_poly.coeffs))
+
+
+class TestTrustedConstruction:
+    """The builders skip the constructor's checks; tests/test_boundaries.py
+    holds the public constructor to them."""
+
+    @given(elements, shift_operators, basis_kinds, st.integers(0, 12))
+    def test_builders_make_the_matrix_the_constructor_validates(self, element, op, kind,
+                                                                degree):
+        for matrix in (matrix_or_overflow(continuum_matrix, element, degree),
+                       matrix_or_overflow(lattice_matrix, op, degree, basis=_basis(kind, op))):
+            if isinstance(matrix, OperatorMatrix):
+                checked = OperatorMatrix(matrix.basis, matrix.entries)
+                assert matrix == checked and hash(matrix) == hash(checked)
+                assert type(matrix) is OperatorMatrix
 
 
 class TestSubstituteQuasi:
